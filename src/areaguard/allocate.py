@@ -91,6 +91,28 @@ def allocate_greedy(instance: Instance) -> Allocation:
     return out
 
 
+def _strict_greedy_sweep(rows: list[list[int]]) -> list[tuple[int, int]]:
+    """Strict-greedy commit order over a distance table (-1 = unreachable).
+
+    Sorting every finite (distance, row, column) triple once and taking each
+    whose row and column are both still free commits the globally closest
+    remaining pair first, ties by row index then column index.
+    """
+    triples = sorted(
+        (dist, r, c) for r, row in enumerate(rows) for c, dist in enumerate(row) if dist >= 0
+    )
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for _, r, c in triples:
+        if r in used_rows or c in used_cols:
+            continue
+        pairs.append((r, c))
+        used_rows.add(r)
+        used_cols.add(c)
+    return pairs
+
+
 def strict_greedy_pairs(instance: Instance) -> list[tuple[int, int]]:
     """Commit order of the strict-greedy matching as (defender, target) pairs.
 
@@ -98,28 +120,7 @@ def strict_greedy_pairs(instance: Instance) -> list[tuple[int, int]]:
     remaining defender/target pairs, ties by defender index then target
     index, then deletes that row and column.
     """
-    rows = _defender_distance_rows(instance)
-    targets = list(instance.attacker_targets)
-    free_d = set(range(len(rows)))
-    free_t = set(range(len(targets)))
-    pairs: list[tuple[int, int]] = []
-    while free_d and free_t:
-        best = None
-        for d in sorted(free_d):
-            dist = rows[d]
-            for t in sorted(free_t):
-                if dist[t] < 0:
-                    continue
-                cand = (dist[t], d, t)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            break
-        _, d, t = best
-        pairs.append((d, t))
-        free_d.discard(d)
-        free_t.discard(t)
-    return pairs
+    return _strict_greedy_sweep(_defender_distance_rows(instance))
 
 
 def allocate_strict_greedy(instance: Instance) -> Allocation:
@@ -276,15 +277,17 @@ def confirm_bottleneck(
     bottleneck: set[Cell],
     previous_paths: dict[int, list[Cell] | None],
     seed: int,
-) -> bool:
-    """False when blocking the candidate changes no estimated route.
+) -> dict[int, list[Cell] | None] | None:
+    """Routes around the candidate, or None when blocking it changes none.
 
     Re-estimates with the same target guess (same seed) and the candidate
     cells added to the forbidden set; a candidate nobody would have walked
     through is a false bottleneck and not worth a defender.
     """
     updated = estimate_attacker_paths(instance, forbidden | bottleneck, seed)
-    return any(updated[i] != previous_paths[i] for i in updated)
+    if any(updated[i] != previous_paths[i] for i in updated):
+        return updated
+    return None
 
 
 def allocate_bottleneck(instance: Instance, params: BottleneckParams = BottleneckParams()) -> Allocation:
@@ -292,10 +295,12 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
 
     Loop (at most max_iterations): estimate attacker routes around
     everything already blocked, take the busiest cell, look for a bottleneck
-    near it, and assign its cells to the nearest free defenders. The loop
-    stops when defenders run out, no route survives, no bottleneck is found,
-    the bottleneck needs more defenders than remain, or blocking it would
-    change nothing. Remaining defenders get seeded random distinct targets.
+    near it, and assign its cells not yet held to the nearest free
+    defenders. The loop stops when defenders run out, no route survives, no
+    bottleneck is found, the bottleneck needs more defenders than remain,
+    or blocking it would change nothing. The routes that confirm a
+    bottleneck are the next round's estimate. Remaining defenders get
+    seeded random distinct targets.
     """
     grid = _require_grid(instance)
     allocation: Allocation = {}
@@ -303,19 +308,20 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
     forbidden: set[Cell] = set()
     seed = params.rng_seed
 
+    paths = estimate_attacker_paths(instance, forbidden, seed)
     for _ in range(params.max_iterations):
         if not available:
             break
-        paths = estimate_attacker_paths(instance, forbidden, seed)
         freq = visit_frequency(paths)
         if not freq:
             break
         starts = [instance.defender_starts[d] for d in available]
         peak = select_peak(freq, starts, grid)
-        cells = search_vicinity(grid, peak, params.vicinity_limit)
+        cells = search_vicinity(grid, peak, params.vicinity_limit) - forbidden
         if not cells or len(cells) > len(available):
             break
-        if not confirm_bottleneck(instance, forbidden, cells, paths, seed):
+        confirmed = confirm_bottleneck(instance, forbidden, cells, paths, seed)
+        if confirmed is None:
             break
         matching = _nearest_first_matching(grid, instance, available, cells)
         if matching is None:
@@ -324,6 +330,7 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
         for d in matching:
             available.remove(d)
         forbidden |= cells
+        paths = confirmed
 
     if available:
         taken = set(allocation.values())
@@ -337,28 +344,19 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
 def _nearest_first_matching(
     grid: GridMap, instance: Instance, available: list[int], cells: set[Cell]
 ) -> Allocation | None:
-    """Strict-greedy defender/cell matching; None unless every cell is covered."""
-    fields = {c: bfs_distances(grid, c) for c in cells}
-    free_cells = sorted(cells, key=lambda c: (c[1], c[0]))
-    free_d = list(available)
-    out: Allocation = {}
-    while free_cells and free_d:
-        best = None
-        for d in free_d:
-            start = instance.defender_starts[d]
-            for ci, cell in enumerate(free_cells):
-                dist = fields[cell].get(start)
-                if dist is None:
-                    continue
-                cand = (dist, d, ci)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            return None
-        _, d, ci = best
-        out[d] = free_cells.pop(ci)
-        free_d.remove(d)
-    return out if not free_cells else None
+    """Strict-greedy defender/cell matching; None unless every cell is covered.
+
+    Ties go to the lower defender index, then to the cell first in (y, x)
+    order.
+    """
+    ordered = sorted(cells, key=lambda c: (c[1], c[0]))
+    tables = [bfs_distance_table(grid, c) for c in ordered]
+    starts = [grid.index(instance.defender_starts[d]) for d in available]
+    rows = [[table[i] for table in tables] for i in starts]
+    pairs = _strict_greedy_sweep(rows)
+    if len(pairs) < len(ordered):
+        return None
+    return {available[r]: ordered[c] for r, c in pairs}
 
 
 def allocate_for(

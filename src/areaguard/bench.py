@@ -24,6 +24,7 @@ from areaguard.scenarios import (
     ScenarioSpec,
     _rect_from_json,
     generate_instance,
+    map_spec_from_json,
 )
 
 RUN_HEADER = (
@@ -83,29 +84,16 @@ class BenchConfig:
 
 
 def config_from_json(doc: dict) -> BenchConfig:
-    maps = []
-    for entry in doc["maps"]:
-        m = entry["map"]
-        map_spec = MapSpec(
-            kind=m["kind"],
-            width=int(m.get("width", 0)),
-            height=int(m.get("height", 0)),
-            rooms_x=int(m.get("rooms_x", 1)),
-            rooms_y=int(m.get("rooms_y", 1)),
-            door_width=int(m.get("door_width", 1)),
-            damage_rate=float(m.get("damage_rate", 0.0)),
-            jitter=int(m.get("jitter", 0)),
-            path=m.get("path"),
+    maps = [
+        BenchMap(
+            name=entry["name"],
+            map_spec=map_spec_from_json(entry["map"]),
+            attacker_rect=_rect_from_json(entry.get("attacker_rect")),
+            defender_rect=_rect_from_json(entry.get("defender_rect")),
+            target_rect=_rect_from_json(entry.get("target_rect")),
         )
-        maps.append(
-            BenchMap(
-                name=entry["name"],
-                map_spec=map_spec,
-                attacker_rect=_rect_from_json(entry.get("attacker_rect")),
-                defender_rect=_rect_from_json(entry.get("defender_rect")),
-                target_rect=_rect_from_json(entry.get("target_rect")),
-            )
-        )
+        for entry in doc["maps"]
+    ]
     ratios = tuple(doc["ratios"])
     for ratio in ratios:
         parse_ratio(ratio)

@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from areaguard.allocate import STRATEGIES
 from areaguard.bench import config_from_json, run_bench, timeseries_table
 from areaguard.engine import result_to_json, run_simulation
 from areaguard.model import load_instance, save_instance
@@ -136,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one instance")
     run.add_argument("--instance", required=True, help="instance JSON file")
-    run.add_argument(
-        "--strategy",
-        default="bottleneck",
-        choices=["random", "greedy", "strict-greedy", "bottleneck"],
-    )
+    run.add_argument("--strategy", default="bottleneck", choices=STRATEGIES)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trace", action="store_true", help="include per-phase positions")
     run.add_argument("--audit", action="store_true", help="re-check every phase against the rules")

@@ -109,11 +109,6 @@ class GridMap:
         return f"GridMap({self.width}x{self.height}, {len(self.blocked)} blocked)"
 
 
-def neighbors4(grid: GridMap, c: Cell) -> list[Cell]:
-    """Passable 4-neighbors of c on grid, in N, S, W, E order."""
-    return grid.neighbors(c)
-
-
 def parse_map(text: str) -> GridMap:
     """Parse movingAI .map text into a GridMap.
 
@@ -222,13 +217,10 @@ def find_path(
             parent[x + y * w] = -3
     parent[si] = -1
     queue = [si]
-    qi = 0
-    qn = 1
     nbr = grid._nbr
     push = queue.append
-    while qi < qn:
-        u = queue[qi]
-        qi += 1
+    # Iterating the list while appending to it visits cells in FIFO order.
+    for u in queue:
         for v in nbr[u]:
             if parent[v] != -2:
                 continue
@@ -242,7 +234,6 @@ def find_path(
                 path.reverse()
                 return path, None
             push(v)
-            qn += 1
     # The queue holds exactly the claimed cells, src first.
     return None, set(queue)
 
@@ -267,19 +258,14 @@ def bfs_distance_table(grid: GridMap, src: Cell, forbidden: Iterable[Cell] = ())
             marked = True
     dist[si] = 0
     queue = [si]
-    qi = 0
-    qn = 1
     nbr = grid._nbr
     push = queue.append
-    while qi < qn:
-        u = queue[qi]
-        qi += 1
+    for u in queue:
         du = dist[u] + 1
         for v in nbr[u]:
             if dist[v] == -1:
                 dist[v] = du
                 push(v)
-                qn += 1
     if marked:
         return [-1 if d == -2 else d for d in dist]
     return dist

@@ -142,10 +142,6 @@ class Instance:
     def defenders(self) -> list[AgentId]:
         return [defender(i) for i in range(self.n_defenders)]
 
-    def start_of(self, agent: AgentId) -> Node:
-        seq = self.attacker_starts if agent.team is Team.ATTACKERS else self.defender_starts
-        return seq[agent.index]
-
     def target_of(self, agent: AgentId) -> Node:
         if agent.team is not Team.ATTACKERS:
             raise ValueError("only attackers have targets")
@@ -166,14 +162,8 @@ class Configuration:
 
     positions: dict[AgentId, Node]
 
-    def position_of(self, agent: AgentId) -> Node:
-        return self.positions[agent]
-
     def team_agents(self, team: Team) -> list[AgentId]:
         return sorted(a for a in self.positions if a.team is team)
-
-    def team_cells(self, team: Team) -> set[Node]:
-        return {c for a, c in self.positions.items() if a.team is team}
 
     def occupied_cells(self) -> set[Node]:
         return set(self.positions.values())
@@ -390,11 +380,18 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
         to_node = lambda v: v
     attackers = doc.get("attackers", [])
     defenders = doc.get("defenders", [])
+
+    def agent_nodes(team: str, agents: list, key: str) -> tuple[Node, ...]:
+        for i, agent in enumerate(agents):
+            if key not in agent:
+                raise ValueError(f"{team} {i} has no {key!r}")
+        return tuple(to_node(agent[key]) for agent in agents)
+
     return Instance(
         world=world,
-        attacker_starts=tuple(to_node(a["start"]) for a in attackers),
-        attacker_targets=tuple(to_node(a["target"]) for a in attackers),
-        defender_starts=tuple(to_node(d["start"]) for d in defenders),
+        attacker_starts=agent_nodes("attacker", attackers, "start"),
+        attacker_targets=agent_nodes("attacker", attackers, "target"),
+        defender_starts=agent_nodes("defender", defenders, "start"),
         time_limit=int(doc.get("time_limit", 1)),
         metadata=doc.get("metadata"),
     )

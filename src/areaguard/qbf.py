@@ -46,7 +46,9 @@ def parse_qdimacs(text: str) -> QbfFormula:
 
     Free variables, prefix variables that appear in no clause, and empty
     clauses are all errors: each would leave the reduced graph with
-    dangling or disconnected structure.
+    dangling or disconnected structure. So is a clause that names a
+    variable twice (x or x, x or not x): its gadget would wire one entry
+    vertex into both branches of that variable.
     """
     num_vars = num_clauses = -1
     prefix: list[tuple[str, tuple[int, ...]]] = []
@@ -102,6 +104,10 @@ def parse_qdimacs(text: str) -> QbfFormula:
             else:
                 if not 1 <= abs(tok) <= num_vars:
                     raise QbfFormatError(f"line {lineno}: literal {tok} outside the declared range")
+                if any(abs(lit) == abs(tok) for lit in current):
+                    raise QbfFormatError(
+                        f"line {lineno}: variable {abs(tok)} appears twice in one clause"
+                    )
                 current.append(tok)
 
     if num_vars < 0:
@@ -245,16 +251,11 @@ def reduce_to_instance(formula: QbfFormula) -> Instance:
         chain = add_chain(hub, [f"C{j}.d{i}" for i in range(1, chain_len + 1)])
         add_defender(chain[-1], f"clause {j} defender")
         tgt = add_node(f"C{j}.tgt")
-        clause_vars: list[int] = []
         for lit in clause:
             v = abs(lit)
-            if v not in clause_vars:
-                clause_vars.append(v)
-                entry = add_node(f"C{j}.e{v}")
-                edges.append((hub, entry))
-                edges.append((f"x{v}.rj", tgt))
-            else:
-                entry = f"C{j}.e{v}"
+            entry = add_node(f"C{j}.e{v}")
+            edges.append((hub, entry))
+            edges.append((f"x{v}.rj", tgt))
             side = "up" if lit > 0 else "dn"
             depth = min(rho[v], branch_len)
             edges.append((entry, f"x{v}.{side}{depth}"))

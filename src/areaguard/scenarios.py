@@ -409,12 +409,11 @@ def spec_to_json(spec: ScenarioSpec) -> dict:
     return doc
 
 
-def spec_from_json(doc: dict) -> ScenarioSpec:
-    m = doc["map"]
+def map_spec_from_json(m: dict) -> MapSpec:
     kind = m["kind"]
     if kind not in MAP_KINDS:
         raise GenerationError(f"unknown map kind {kind!r}")
-    map_spec = MapSpec(
+    return MapSpec(
         kind=kind,
         width=int(m.get("width", 0)),
         height=int(m.get("height", 0)),
@@ -425,6 +424,10 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
         jitter=int(m.get("jitter", 0)),
         path=m.get("path"),
     )
+
+
+def spec_from_json(doc: dict) -> ScenarioSpec:
+    map_spec = map_spec_from_json(doc["map"])
     placement = doc.get("placement", "overlapped")
     if placement not in PLACEMENTS:
         raise GenerationError(f"unknown placement {placement!r}")

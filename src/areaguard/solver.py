@@ -95,43 +95,40 @@ def solve_decision_game(instance: Instance, state_budget: int = 5_000_000) -> So
         return any(positions[i] == targets[i] for i in range(na))
 
     initial: State = (tuple(instance.attacker_starts) + tuple(instance.defender_starts), 0)
-    successors: dict[State, list[State]] = {}
-    seen: set[State] = {initial}
+    # The keys of predecessors double as the visited set. Captured states
+    # seed the attractor as they are popped; pending counts the moves of
+    # each defender-phase state that are not yet known to lose.
+    predecessors: dict[State, list[State]] = {initial: []}
+    attracted: set[State] = set()
+    pending: dict[State, int] = {}
     frontier: deque[State] = deque((initial,))
     while frontier:
         state = frontier.popleft()
         positions, phase = state
         if captured(positions):
+            attracted.add(state)
             continue
         if phase == 0:
             own, others = positions[:na], positions[na:]
         else:
             own, others = positions[na:], positions[:na]
-        succ: list[State] = []
+        moves = 0
         for joint in enumerate_team_moves(world, own, frozenset(others)):
-            if phase == 0:
-                nxt: State = (joint + others, 1)
-            else:
-                nxt = (others + joint, 0)
-            succ.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt: State = (joint + others, 1) if phase == 0 else (others + joint, 0)
+            moves += 1
+            prevs = predecessors.get(nxt)
+            if prevs is None:
+                predecessors[nxt] = [state]
                 frontier.append(nxt)
-        successors[state] = succ
+            else:
+                prevs.append(state)
+        if phase == 1:
+            pending[state] = moves
 
-    predecessors: dict[State, list[State]] = {}
-    for state, succ in successors.items():
-        for nxt in succ:
-            predecessors.setdefault(nxt, []).append(state)
-
-    attracted = {s for s in seen if captured(s[0])}
-    pending = {
-        s: len(succ) for s, succ in successors.items() if s[1] == 1 and s not in attracted
-    }
     worklist = deque(attracted)
     while worklist:
         state = worklist.popleft()
-        for prev in predecessors.get(state, ()):
+        for prev in predecessors[state]:
             if prev in attracted:
                 continue
             if prev[1] == 0:
@@ -143,4 +140,4 @@ def solve_decision_game(instance: Instance, state_budget: int = 5_000_000) -> So
                     attracted.add(prev)
                     worklist.append(prev)
     winner = Team.ATTACKERS if initial in attracted else Team.DEFENDERS
-    return SolveResult(winner=winner, states=len(seen), bound=bound)
+    return SolveResult(winner=winner, states=len(predecessors), bound=bound)

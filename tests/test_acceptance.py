@@ -295,6 +295,7 @@ def test_criterion_04_two_room_chokepoint():
     _check(4, "two-room chokepoint blocking", ok, f"means={means} in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_05_bottleneck_leads_on_rooms(trend_bench):
     output, elapsed = trend_bench
     means = _mean_table(output)
@@ -315,6 +316,7 @@ def test_criterion_05_bottleneck_leads_on_rooms(trend_bench):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_scarcity_degrades_defense(matrix_bench):
     output, _ = matrix_bench
     means = _mean_table(output)
@@ -329,30 +331,30 @@ def test_criterion_06_scarcity_degrades_defense(matrix_bench):
 
 
 MICRO_GAMES = [
-    # (name, rows, attackers, targets, defenders, winner)
-    ("unopposed corridor", ["...."], [(0, 0)], [(3, 0)], [], Team.ATTACKERS),
+    # (name, rows, attackers, targets, defenders, winner, reachable states)
+    ("unopposed corridor", ["...."], [(0, 0)], [(3, 0)], [], Team.ATTACKERS, 7),
     # A parked defender owns the target cell forever.
-    ("defender parked on target", ["...."], [(0, 0)], [(3, 0)], [(3, 0)], Team.DEFENDERS),
+    ("defender parked on target", ["...."], [(0, 0)], [(3, 0)], [(3, 0)], Team.DEFENDERS, 12),
     # One-wide corridor: the defender in the middle can simply never move.
-    ("corridor sealed midway", ["......"], [(0, 0)], [(5, 0)], [(3, 0)], Team.DEFENDERS),
+    ("corridor sealed midway", ["......"], [(0, 0)], [(5, 0)], [(3, 0)], Team.DEFENDERS, 30),
     # The defender sits behind the attacker and cannot overtake in one lane.
-    ("defender trails behind", ["...."], [(1, 0)], [(3, 0)], [(0, 0)], Team.ATTACKERS),
+    ("defender trails behind", ["...."], [(1, 0)], [(3, 0)], [(0, 0)], Team.ATTACKERS, 8),
     # Starting on the target is an immediate win.
-    ("attacker starts on target", ["..."], [(0, 0)], [(0, 0)], [(2, 0)], Team.ATTACKERS),
+    ("attacker starts on target", ["..."], [(0, 0)], [(0, 0)], [(2, 0)], Team.ATTACKERS, 1),
     # 2x2: the attacker needs two moves, the defender one; defenders move
     # second, so the target is occupied before the attacker's second step.
-    ("defender reaches target first", ["..", ".."], [(0, 0)], [(1, 1)], [(1, 0)], Team.DEFENDERS),
+    ("defender reaches target first", ["..", ".."], [(0, 0)], [(1, 1)], [(1, 0)], Team.DEFENDERS, 21),
     # 1x7: both need the same cell on round three, but attackers move first.
-    ("attacker wins the race by phase order", ["......."], [(0, 0)], [(3, 0)], [(6, 0)], Team.ATTACKERS),
+    ("attacker wins the race by phase order", ["......."], [(0, 0)], [(3, 0)], [(6, 0)], Team.ATTACKERS, 33),
     # Two defenders wall off the middle column without touching the target.
-    ("defenders wall the corridor", ["...", "..."], [(0, 0)], [(2, 0)], [(1, 0), (1, 1)], Team.DEFENDERS),
+    ("defenders wall the corridor", ["...", "..."], [(0, 0)], [(2, 0)], [(1, 0), (1, 1)], Team.DEFENDERS, 218),
 ]
 
 
 def test_criterion_07_solver_matches_hand_solved_games():
     start = time.perf_counter()
     wrong = []
-    for name, rows, attackers, targets, defenders, expected in MICRO_GAMES:
+    for name, rows, attackers, targets, defenders, expected, states in MICRO_GAMES:
         instance = Instance(
             world=grid_from_rows(rows),
             attacker_starts=tuple(attackers),
@@ -360,9 +362,9 @@ def test_criterion_07_solver_matches_hand_solved_games():
             defender_starts=tuple(defenders),
             time_limit=1,
         )
-        verdict = solve_decision_game(instance).winner
-        if verdict is not expected:
-            wrong.append((name, verdict.name))
+        result = solve_decision_game(instance)
+        if result.winner is not expected or result.states != states:
+            wrong.append((name, result.winner.name, result.states))
     elapsed = time.perf_counter() - start
     ok = not wrong and elapsed < SOLVER_BUDGET_S
     _check(7, "exact solver matches hand-solved games", ok, f"{wrong} in {elapsed:.1f}s")
@@ -425,6 +427,7 @@ def test_criterion_08_reduction_structural_audit():
     _check(8, "reduction structural audit", not problems, f"{problems}")
 
 
+@pytest.mark.slow
 def test_criterion_09_benchmark_determinism(trend_bench):
     output, _ = trend_bench
     rerun = run_bench(TREND_CONFIG, base_dir=ROOT)
@@ -432,6 +435,7 @@ def test_criterion_09_benchmark_determinism(trend_bench):
     _check(9, "benchmark rerun is byte-identical", ok)
 
 
+@pytest.mark.slow
 def test_criterion_10_scale_and_runtime(matrix_bench):
     single_spec = ScenarioSpec(
         map=MapSpec(kind="rooms", width=64, height=64, rooms_x=3, rooms_y=3, door_width=2),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,10 @@ from areaguard.allocate import (
 )
 from areaguard.grid import bfs_distances
 from areaguard.model import Instance
+from areaguard.scenarios import MapSpec, ScenarioSpec, generate_instance
 from helpers import grid_from_rows, random_grid
+
+MAPS_DIR = Path(__file__).resolve().parent.parent / "maps"
 
 
 def make_instance(rows, attackers, targets, defenders, limit=50):
@@ -242,10 +246,14 @@ def test_confirm_bottleneck_rejects_unused_candidate():
     )
     paths = estimate_attacker_paths(inst, set(), seed=1)
     # A pocket cell no route touches is a false bottleneck.
-    assert confirm_bottleneck(inst, set(), {(2, 2)}, paths, seed=1) is False
-    # A cell on some route forces a reroute and is confirmed.
+    assert confirm_bottleneck(inst, set(), {(2, 2)}, paths, seed=1) is None
+    # A cell on some route forces a reroute and is confirmed. The allocator
+    # carries the returned routes into its next round, so they must be
+    # exactly a fresh estimate around the grown forbidden set.
     on_route = next(iter(visit_frequency(paths)))
-    assert confirm_bottleneck(inst, set(), {on_route}, paths, seed=1) is True
+    confirmed = confirm_bottleneck(inst, set(), {on_route}, paths, seed=1)
+    assert confirmed
+    assert confirmed == estimate_attacker_paths(inst, {on_route}, seed=1)
 
 
 def test_allocate_bottleneck_blocks_the_door():
@@ -333,3 +341,19 @@ def test_allocations_are_injective_and_passable():
             assert len(set(values)) == len(values), strategy
             assert all(grid.is_passable(c) for c in values), strategy
             assert set(alloc) <= set(range(n_def)), strategy
+
+
+def test_bottleneck_never_posts_two_defenders_on_one_cell():
+    # On scatter debris a later chokepoint can overlap an earlier one; the
+    # cells already held must not be matched a second time.
+    spec = ScenarioSpec(
+        map=MapSpec(kind="file", path="scatter_standin.map"),
+        n_attackers=100,
+        n_defenders=100,
+        time_limit=150,
+        placement="separated",
+    )
+    inst = generate_instance(spec, 1, MAPS_DIR)
+    alloc = allocate_for(inst, "bottleneck", 1)
+    assert len(alloc) == 100
+    assert len(set(alloc.values())) == len(alloc)

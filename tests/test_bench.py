@@ -77,6 +77,9 @@ def test_config_parsing_defaults_and_errors():
     bad = dict(SMALL_CONFIG, runs=0)
     with pytest.raises(ValueError):
         config_from_json(bad)
+    bad = dict(SMALL_CONFIG, maps=[{"name": "x", "map": {"kind": "maze"}}])
+    with pytest.raises(ValueError, match="unknown map kind"):
+        config_from_json(bad)
 
 
 def test_headers_are_pinned():

@@ -171,3 +171,14 @@ def test_solve_budget_refusal_exits_nonzero(tmp_path, capsys):
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert main(["run", "--instance", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_missing_agent_field_is_a_clean_error(tmp_path, capsys):
+    inst_path = tmp_path / "no_target.json"
+    write_json(
+        inst_path,
+        {"time_limit": 5, "map": ["...."], "attackers": [{"start": [0, 0]}], "defenders": []},
+    )
+    assert main(["run", "--instance", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: attacker 0 has no 'target'\n"

@@ -10,7 +10,6 @@ from areaguard.grid import (
     MapFormatError,
     bfs_distances,
     dump_map,
-    neighbors4,
     obstacle_components,
     parse_map,
     shortest_path,
@@ -74,10 +73,10 @@ def test_dump_map_round_trip():
 
 def test_neighbors4_order_is_n_s_w_e():
     grid = grid_from_rows(["...", "...", "..."])
-    assert neighbors4(grid, (1, 1)) == [(1, 0), (1, 2), (0, 1), (2, 1)]
-    assert neighbors4(grid, (0, 0)) == [(0, 1), (1, 0)]
+    assert grid.neighbors((1, 1)) == [(1, 0), (1, 2), (0, 1), (2, 1)]
+    assert grid.neighbors((0, 0)) == [(0, 1), (1, 0)]
     blocked = grid_from_rows(["...", ".#.", "..."])
-    assert neighbors4(blocked, (1, 0)) == [(0, 0), (2, 0)]
+    assert blocked.neighbors((1, 0)) == [(0, 0), (2, 0)]
 
 
 def test_shortest_path_empty_3x3_matches_walk_oracle():

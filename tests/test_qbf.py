@@ -64,6 +64,9 @@ def test_multiline_clause():
         ("p cnf 2 1\ne 1 1 2 0\n1 2 0\n", "quantified twice"),
         ("p cnf 2 1\ne 1 2 0\n1 2\n", "unterminated clause"),
         ("p cnf 2 1\ne 1 x 2 0\n1 2 0\n", "non-numeric"),
+        ("p cnf 1 1\na 1 0\n1 -1 0\n", "line 3: variable 1 appears twice"),
+        ("p cnf 1 1\ne 1 0\n1 1 0\n", "line 3: variable 1 appears twice"),
+        ("p cnf 2 1\ne 1 2 0\n2 1\n-2 0\n", "line 4: variable 2 appears twice"),
     ],
 )
 def test_parse_errors(text, fragment):
