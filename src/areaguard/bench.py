@@ -14,9 +14,10 @@ import hashlib
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from areaguard.allocate import STRATEGIES
-from areaguard.engine import run_simulation, timed_run
+from areaguard.engine import Metrics, run_simulation, timed_run
 from areaguard.scenarios import (
     GenerationError,
     MapSpec,
@@ -144,64 +145,111 @@ class BenchOutput:
         )
 
 
-def run_bench(config: BenchConfig, base_dir: str | Path = ".", jobs: int = 1) -> BenchOutput:
-    """Run the whole matrix serially and collect both tables.
+class SimTask(NamedTuple):
+    """One simulation of the matrix, small enough to send to a worker.
 
-    The jobs parameter is accepted for interface stability; runs are
-    deterministic and cheap enough that this implementation stays
-    single-process.
+    Whoever plays the task regenerates its instance from (spec,
+    instance_seed, base_dir), so with worker processes the process that
+    merges the rows never builds or holds an instance. label names the
+    cell in error messages.
     """
-    del jobs
+
+    spec: ScenarioSpec
+    instance_seed: int
+    base_dir: str | Path
+    strategy: str
+    label: str
+
+
+def simulate(task: SimTask) -> tuple[Metrics, float]:
+    """Generate the task's instance, play it once and return (metrics, wall_ms)."""
+    try:
+        instance = generate_instance(task.spec, task.instance_seed, task.base_dir)
+    except GenerationError as err:
+        raise GenerationError(f"{task.label}: {err}") from err
+    seed = derive_allocation_seed(task.instance_seed, task.strategy)
+    result, wall_ms = timed_run(instance, task.strategy, seed)
+    return result.metrics, wall_ms
+
+
+def run_bench(config: BenchConfig, base_dir: str | Path = ".", jobs: int = 1) -> BenchOutput:
+    """Run the whole matrix and collect both tables.
+
+    Every simulation is one SimTask. With jobs > 1 up to jobs of them run
+    at once in spawned worker processes; results are merged in config
+    order, so both tables are the same for every jobs value apart from
+    the wall_ms column, which is measured inside the worker and so
+    includes CPU contention.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cells = [
+        (bench_map, ratio, placement)
+        for bench_map in config.maps
+        for ratio in config.ratios
+        for placement in config.placements
+    ]
+    tasks: list[SimTask] = []
+    for bench_map, ratio, placement in cells:
+        spec = scenario_for(config, bench_map, ratio, placement)
+        label = f"map {bench_map.name!r} {ratio} {placement}"
+        for run_index in range(config.runs):
+            instance_seed = derive_instance_seed(
+                config.master_seed, bench_map.name, ratio, placement, run_index
+            )
+            tasks += [
+                SimTask(spec, instance_seed, base_dir, strategy, label)
+                for strategy in config.strategies
+            ]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            results = list(pool.map(simulate, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = list(map(simulate, tasks))
+
     run_rows: list[list[str]] = []
     aggregate_rows: list[list[str]] = []
-    for bench_map in config.maps:
-        for ratio in config.ratios:
-            for placement in config.placements:
-                spec = scenario_for(config, bench_map, ratio, placement)
-                per_strategy: dict[str, list[int]] = {s: [] for s in config.strategies}
-                for run_index in range(config.runs):
-                    instance_seed = derive_instance_seed(
-                        config.master_seed, bench_map.name, ratio, placement, run_index
-                    )
-                    try:
-                        instance = generate_instance(spec, instance_seed, base_dir)
-                    except GenerationError as err:
-                        raise GenerationError(
-                            f"map {bench_map.name!r} {ratio} {placement}: {err}"
-                        ) from err
-                    for strategy in config.strategies:
-                        seed = derive_allocation_seed(instance_seed, strategy)
-                        result, wall_ms = timed_run(instance, strategy, seed)
-                        per_strategy[strategy].append(result.metrics.captured)
-                        run_rows.append(
-                            [
-                                bench_map.name,
-                                ratio,
-                                placement,
-                                strategy,
-                                str(instance_seed),
-                                str(result.metrics.captured),
-                                str(result.metrics.uncaptured),
-                                str(result.metrics.sum_target_distance),
-                                str(result.metrics.time_at_targets),
-                                f"{wall_ms:.3f}",
-                            ]
-                        )
-                for strategy in config.strategies:
-                    counts = per_strategy[strategy]
-                    aggregate_rows.append(
-                        [
-                            bench_map.name,
-                            ratio,
-                            placement,
-                            strategy,
-                            str(len(counts)),
-                            f"{statistics.fmean(counts):.4f}",
-                            str(min(counts)),
-                            str(max(counts)),
-                            f"{statistics.pstdev(counts):.4f}",
-                        ]
-                    )
+    done = list(zip(tasks, results))
+    width = config.runs * len(config.strategies)
+    for index, (bench_map, ratio, placement) in enumerate(cells):
+        cell = done[index * width : (index + 1) * width]
+        for task, (metrics, wall_ms) in cell:
+            run_rows.append(
+                [
+                    bench_map.name,
+                    ratio,
+                    placement,
+                    task.strategy,
+                    str(task.instance_seed),
+                    str(metrics.captured),
+                    str(metrics.uncaptured),
+                    str(metrics.sum_target_distance),
+                    str(metrics.time_at_targets),
+                    f"{wall_ms:.3f}",
+                ]
+            )
+        for offset, strategy in enumerate(config.strategies):
+            counts = [metrics.captured for _, (metrics, _) in cell[offset :: len(config.strategies)]]
+            aggregate_rows.append(
+                [
+                    bench_map.name,
+                    ratio,
+                    placement,
+                    strategy,
+                    str(len(counts)),
+                    f"{statistics.fmean(counts):.4f}",
+                    str(min(counts)),
+                    str(max(counts)),
+                    f"{statistics.pstdev(counts):.4f}",
+                ]
+            )
     return BenchOutput(run_rows=run_rows, aggregate_rows=aggregate_rows)
 
 

@@ -373,11 +373,15 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             width = len(map_src[0]) if map_src else 0
             header = f"type octile\nheight {len(map_src)}\nwidth {width}\nmap\n"
             world = parse_map(header + "\n".join(map_src) + "\n")
-        to_node = lambda v: (int(v[0]), int(v[1]))
+
+        def to_node(v, where: str) -> Node:
+            if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
+                return (v[0], v[1])
+            raise ValueError(f"{where} must be a pair of integers")
     else:
         g = doc["graph"]
         world = AdjacencyGraph.from_edges(g["nodes"], [tuple(e) for e in g["edges"]])
-        to_node = lambda v: v
+        to_node = lambda v, where: v
     attackers = doc.get("attackers", [])
     defenders = doc.get("defenders", [])
 
@@ -385,7 +389,9 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
         for i, agent in enumerate(agents):
             if key not in agent:
                 raise ValueError(f"{team} {i} has no {key!r}")
-        return tuple(to_node(agent[key]) for agent in agents)
+        return tuple(
+            to_node(agent[key], f"{team} {i} {key!r}") for i, agent in enumerate(agents)
+        )
 
     return Instance(
         world=world,

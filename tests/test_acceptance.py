@@ -430,9 +430,9 @@ def test_criterion_08_reduction_structural_audit():
 @pytest.mark.slow
 def test_criterion_09_benchmark_determinism(trend_bench):
     output, _ = trend_bench
-    rerun = run_bench(TREND_CONFIG, base_dir=ROOT)
+    rerun = run_bench(TREND_CONFIG, base_dir=ROOT, jobs=2)
     ok = rerun.aggregate_csv() == output.aggregate_csv()
-    _check(9, "benchmark rerun is byte-identical", ok)
+    _check(9, "benchmark rerun in worker processes is byte-identical", ok)
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 """Benchmark matrix tests: seed derivation, tables, determinism."""
+import json
 import statistics
 
 import pytest
@@ -15,6 +16,7 @@ from areaguard.bench import (
     scenario_for,
     timeseries_table,
 )
+from areaguard.cli import main
 from areaguard.engine import run_simulation
 from areaguard.grid import dump_map
 from areaguard.scenarios import generate_instance, generate_rooms_map
@@ -93,12 +95,13 @@ def test_headers_are_pinned():
 def test_run_bench_table_shape_and_determinism():
     config = config_from_json(SMALL_CONFIG)
     first = run_bench(config)
-    again = run_bench(config)
+    again = run_bench(config, jobs=2)
     # 1 map x 1 ratio x 2 placements x 4 strategies x 2 runs
     assert len(first.run_rows) == 16
     assert len(first.aggregate_rows) == 8
-    # The aggregate table is byte-identical on reruns; per-run rows agree
-    # everywhere except the wall-clock column.
+    # The aggregate table is byte-identical on reruns, in worker processes
+    # too; per-run rows agree, in order, everywhere except the wall-clock
+    # column.
     assert first.aggregate_csv() == again.aggregate_csv()
     assert [row[:-1] for row in first.run_rows] == [row[:-1] for row in again.run_rows]
     # All strategies of one run share the instance seed.
@@ -108,6 +111,25 @@ def test_run_bench_table_shape_and_determinism():
     csv_text = first.run_csv()
     assert csv_text.startswith(RUN_HEADER + "\n")
     assert csv_text.endswith("\n")
+
+
+# The second map has 4 cells for 4 attackers and 2 defenders.
+TOO_SMALL = dict(
+    SMALL_CONFIG,
+    maps=SMALL_CONFIG["maps"] + [{"name": "tiny", "map": {"kind": "empty", "width": 2, "height": 2}}],
+)
+
+
+def test_generation_error_in_a_worker_names_the_cell(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^map 'tiny' 1:2 overlapped: cannot place"):
+        run_bench(config_from_json(TOO_SMALL), jobs=2)
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps(TOO_SMALL), encoding="utf-8")
+    argv = ["bench", "--config", str(config_path), "-o", str(tmp_path / "out"), "--jobs", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map 'tiny' 1:2 overlapped: cannot place")
+    assert err.count("\n") == 1
 
 
 def test_aggregate_row_matches_recomputed_stats():

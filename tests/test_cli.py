@@ -1,6 +1,8 @@
 """End-to-end command line tests (in-process main calls)."""
 import json
 
+import pytest
+
 from areaguard.cli import main
 from areaguard.model import load_instance, validate_instance
 from areaguard.scenarios import ScenarioSpec, MapSpec, generate_instance, spec_to_json
@@ -182,3 +184,25 @@ def test_run_missing_agent_field_is_a_clean_error(tmp_path, capsys):
     assert main(["run", "--instance", str(inst_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: attacker 0 has no 'target'\n"
+
+
+@pytest.mark.parametrize("start", [3, [0], [0, 0, 0], [0, "1"], [0, 1.5], None])
+def test_run_malformed_agent_position_is_a_clean_error(tmp_path, capsys, start):
+    inst_path = tmp_path / "bad_start.json"
+    write_json(
+        inst_path,
+        {"time_limit": 5, "map": ["...."], "attackers": [{"start": start, "target": [0, 3]}]},
+    )
+    assert main(["run", "--instance", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: attacker 0 'start' must be a pair of integers\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    config_path = tmp_path / "bench.json"
+    write_json(config_path, BENCH_DOC)
+    out_dir = tmp_path / "results"
+    assert main(["bench", "--config", str(config_path), "-o", str(out_dir), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not out_dir.exists()
