@@ -11,8 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from areaguard.grid import GridMap, dump_map
-from areaguard.scenarios import _passable_components, _repair_connectivity
+from areaguard.grid import GridMap, bfs_distance_table, dump_map
+from areaguard.scenarios import _repair_connectivity
 
 SIZE = 48
 
@@ -29,8 +29,7 @@ def islands(seed: int) -> GridMap:
                     dx, dy = (x - cx) / rx, (y - cy) / ry
                     if dx * dx + dy * dy <= 1.0 + rng.uniform(-0.2, 0.2):
                         blocked.add((x, y))
-    blocked = _repair_connectivity(SIZE, SIZE, blocked)
-    return GridMap(SIZE, SIZE, blocked)
+    return _repair_connectivity(SIZE, SIZE, blocked)
 
 
 def scatter(seed: int) -> GridMap:
@@ -45,15 +44,15 @@ def scatter(seed: int) -> GridMap:
             if 0 <= nx < SIZE and 0 <= ny < SIZE:
                 blocked.add((nx, ny))
                 x, y = nx, ny
-    blocked = _repair_connectivity(SIZE, SIZE, blocked)
-    return GridMap(SIZE, SIZE, blocked)
+    return _repair_connectivity(SIZE, SIZE, blocked)
 
 
 def main() -> None:
     out_dir = Path(__file__).resolve().parent.parent / "maps"
     out_dir.mkdir(exist_ok=True)
     for name, grid in (("islands_standin.map", islands(101)), ("scatter_standin.map", scatter(202))):
-        assert len(_passable_components(SIZE, SIZE, set(grid.blocked))) == 1
+        reached = bfs_distance_table(grid, next(grid.passable_cells()))
+        assert sum(d >= 0 for d in reached) == grid.passable_count
         free = grid.passable_count / (SIZE * SIZE)
         (out_dir / name).write_text(dump_map(grid), encoding="ascii")
         print(f"{name}: {grid.passable_count} passable ({free:.0%})")

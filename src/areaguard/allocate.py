@@ -24,6 +24,7 @@ from areaguard.grid import (
     GridMap,
     bfs_distance_table,
     bfs_distances,
+    nearest_target_path,
     obstacle_components,
     shortest_path,
 )
@@ -237,36 +238,10 @@ def _joining_path(grid: GridMap, peak: Cell, r: int, comps: list[set[Cell]]) -> 
         sources = sorted(
             (c for c, t in touch.items() if ci in t), key=lambda c: (c[1], c[0])
         )
-        if not sources:
-            continue
-        target_of = lambda c: any(j > ci for j in touch.get(c, ()))
-        parent: dict[Cell, Cell | None] = {}
-        found = None
-        for s in sources:
-            parent[s] = None
-            if target_of(s):
-                found = s
-                break
-        queue = list(sources) if found is None else []
-        qi = 0
-        while found is None and qi < len(queue):
-            cx, cy = queue[qi]
-            qi += 1
-            for cand in ((cx, cy - 1), (cx, cy + 1), (cx - 1, cy), (cx + 1, cy)):
-                if cand in parent or not in_region(cand):
-                    continue
-                parent[cand] = (cx, cy)
-                if target_of(cand):
-                    found = cand
-                    break
-                queue.append(cand)
-        if found is None:
-            continue
-        path = [found]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        if best is None or len(path) < len(best):
+        path = nearest_target_path(
+            sources, in_region, lambda c: any(j > ci for j in touch.get(c, ()))
+        )
+        if path is not None and (best is None or len(path) < len(best)):
             best = path
     return best
 

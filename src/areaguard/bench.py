@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from areaguard.allocate import STRATEGIES
 from areaguard.engine import Metrics, run_simulation, timed_run
+from areaguard.model import json_field
 from areaguard.scenarios import (
     GenerationError,
     MapSpec,
@@ -53,7 +54,7 @@ def derive_allocation_seed(instance_seed: int, strategy: str) -> int:
 
 def parse_ratio(ratio: str) -> int:
     """A ratio '1:k' means one defender per k attackers."""
-    parts = ratio.split(":")
+    parts = ratio.split(":") if isinstance(ratio, str) else []
     if len(parts) != 2 or parts[0] != "1" or not parts[1].isdigit() or int(parts[1]) < 1:
         raise ValueError(f"ratio must look like '1:k' with k >= 1, got {ratio!r}")
     return int(parts[1])
@@ -85,29 +86,32 @@ class BenchConfig:
 
 
 def config_from_json(doc: dict) -> BenchConfig:
-    maps = [
-        BenchMap(
-            name=entry["name"],
-            map_spec=map_spec_from_json(entry["map"]),
-            attacker_rect=_rect_from_json(entry.get("attacker_rect")),
-            defender_rect=_rect_from_json(entry.get("defender_rect")),
-            target_rect=_rect_from_json(entry.get("target_rect")),
+    where = "bench config"
+    maps = []
+    for i, entry in enumerate(json_field(doc, "maps", where, tuple)):
+        at = f"{where} map {i}"
+        maps.append(
+            BenchMap(
+                name=json_field(entry, "name", at),
+                map_spec=map_spec_from_json(json_field(entry, "map", at)),
+                attacker_rect=_rect_from_json(entry, "attacker_rect", at),
+                defender_rect=_rect_from_json(entry, "defender_rect", at),
+                target_rect=_rect_from_json(entry, "target_rect", at),
+            )
         )
-        for entry in doc["maps"]
-    ]
-    ratios = tuple(doc["ratios"])
+    ratios = json_field(doc, "ratios", where, tuple)
     for ratio in ratios:
         parse_ratio(ratio)
-    strategies = tuple(doc.get("strategies", STRATEGIES))
+    strategies = json_field(doc, "strategies", where, tuple, STRATEGIES)
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-    placements = tuple(doc["placements"])
+    placements = json_field(doc, "placements", where, tuple)
     config = BenchConfig(
-        master_seed=int(doc.get("master_seed", 0)),
-        attackers=int(doc["attackers"]),
-        time_limit=int(doc["time_limit"]),
-        runs=int(doc["runs"]),
+        master_seed=json_field(doc, "master_seed", where, int, 0),
+        attackers=json_field(doc, "attackers", where, int),
+        time_limit=json_field(doc, "time_limit", where, int),
+        runs=json_field(doc, "runs", where, int),
         maps=tuple(maps),
         ratios=ratios,
         placements=placements,

@@ -5,11 +5,17 @@ width / map) followed by one character per cell, row by row. Coordinates
 are (x, y) tuples with x as the column and y as the row; (0, 0) is the
 top-left corner and y grows downward. All searches expand neighbors in the
 fixed order N, S, W, E so tie-breaking is deterministic everywhere.
+
+The distance searches also run on a model.AdjacencyGraph, which offers the
+same integer interface: index(node), cell(i) and the neighbor-index table.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from areaguard.model import World
 
 Cell = tuple[int, int]
 
@@ -146,16 +152,29 @@ def parse_map(text: str) -> GridMap:
     rows = lines[4:]
     if len(rows) != height:
         raise MapFormatError(f"expected {height} map rows, found {len(rows)}")
+    return parse_rows(rows, width, first_line=5)
+
+
+def parse_rows(rows: list[str], width: int = 0, first_line: int = 0) -> GridMap:
+    """GridMap from map rows without a header, one character per cell.
+
+    width defaults to the first row's length. Errors name row y as file
+    line first_line + y when first_line is given, else as map row y + 1.
+    """
+    width = width or (len(rows[0]) if rows else 0)
+    if width < 1:
+        raise MapFormatError(f"map dimensions must be positive, got {width}x{len(rows)}")
     blocked: list[Cell] = []
     for y, row in enumerate(rows):
+        where = f"line {first_line + y}" if first_line else f"map row {y + 1}"
         if len(row) != width:
-            raise MapFormatError(f"line {y + 5}: row has {len(row)} characters, expected {width}")
+            raise MapFormatError(f"{where}: row has {len(row)} characters, expected {width}")
         for x, ch in enumerate(row):
             if ch in BLOCKED_CHARS:
                 blocked.append((x, y))
             elif ch not in PASSABLE_CHARS:
-                raise MapFormatError(f"line {y + 5}, column {x + 1}: unknown terrain character {ch!r}")
-    return GridMap(width, height, blocked)
+                raise MapFormatError(f"{where}, column {x + 1}: unknown terrain character {ch!r}")
+    return GridMap(width, len(rows), blocked)
 
 
 def load_map(path: str) -> GridMap:
@@ -238,27 +257,27 @@ def find_path(
     return None, set(queue)
 
 
-def bfs_distance_table(grid: GridMap, src: Cell, forbidden: Iterable[Cell] = ()) -> list[int]:
-    """BFS distances from src as a flat list indexed like grid.index.
+def bfs_distance_table(world: World, src, forbidden: Iterable = ()) -> list[int]:
+    """BFS distances from src as a flat list indexed like world.index.
 
-    Unreachable, blocked and forbidden cells all hold -1. Cheaper than
-    bfs_distances when only a few cells are probed afterwards.
+    world is a GridMap or a model.AdjacencyGraph. Unreachable, blocked and
+    forbidden nodes all hold -1; src itself is never forbidden. Cheaper
+    than bfs_distances when only a few nodes are probed afterwards.
     """
-    if not grid.is_passable(src):
+    if not world.is_passable(src):
         raise ValueError(f"distance source {src} is not passable")
-    w = grid.width
-    h = grid.height
-    si = src[0] + src[1] * w
+    nbr = world._nbr
+    index = world.index
     # dist values: -2 forbidden, -1 unvisited, >=0 distance from src.
-    dist = [-1] * (w * h)
+    dist = [-1] * len(nbr)
     marked = False
-    for x, y in forbidden:
-        if 0 <= x < w and 0 <= y < h:
-            dist[x + y * w] = -2
+    for node in forbidden:
+        if world.is_passable(node):
+            dist[index(node)] = -2
             marked = True
+    si = index(src)
     dist[si] = 0
     queue = [si]
-    nbr = grid._nbr
     push = queue.append
     for u in queue:
         du = dist[u] + 1
@@ -271,15 +290,51 @@ def bfs_distance_table(grid: GridMap, src: Cell, forbidden: Iterable[Cell] = ())
     return dist
 
 
-def bfs_distances(grid: GridMap, src: Cell, forbidden: Iterable[Cell] = ()) -> dict[Cell, int]:
-    """Map of every reachable cell to its BFS distance from src.
+def bfs_distances(world: World, src, forbidden: Iterable = ()) -> dict:
+    """Map of every node reachable from src to its BFS distance.
 
-    Unreachable cells are absent. forbidden cells (except src) are treated
-    as blocked.
+    world is a GridMap or a model.AdjacencyGraph. Unreachable nodes are
+    absent; forbidden nodes (except src) are treated as blocked.
     """
-    w = grid.width
-    table = bfs_distance_table(grid, src, forbidden)
-    return {(i % w, i // w): d for i, d in enumerate(table) if d >= 0}
+    node = world.cell
+    table = bfs_distance_table(world, src, forbidden)
+    return {node(i): d for i, d in enumerate(table) if d >= 0}
+
+
+def nearest_target_path(
+    sources: Iterable[Cell],
+    allowed: Callable[[Cell], bool],
+    is_target: Callable[[Cell], bool],
+) -> list[Cell] | None:
+    """Shortest 4-connected path, source first, from any source to a target.
+
+    A multi-source breadth-first search over coordinates, not over a map:
+    sources queue in the given order, a cell is entered only when allowed,
+    and neighbors expand N, S, W, E, so ties go to the first path found.
+    The first source that is a target is a one-cell path; None when no
+    target is reachable.
+    """
+    parent: dict[Cell, Cell | None] = {}
+    for s in sources:
+        if is_target(s):
+            return [s]
+        parent[s] = None
+    queue = list(parent)
+    # Iterating the list while appending to it visits cells in FIFO order.
+    for here in queue:
+        x, y = here
+        for nxt in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+            if nxt in parent or not allowed(nxt):
+                continue
+            parent[nxt] = here
+            if is_target(nxt):
+                path = [nxt]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            queue.append(nxt)
+    return None
 
 
 _OFFSETS8 = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (1, -1), (-1, 1), (1, 1))

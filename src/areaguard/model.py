@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from areaguard.grid import Cell, GridMap, dump_map, load_map
+from areaguard.grid import Cell, GridMap, dump_map, load_map, parse_rows
 
 Node = object  # Cell on grids, str on adjacency graphs
 
@@ -64,9 +64,13 @@ class RuleViolation(Exception):
 
 
 class AdjacencyGraph:
-    """Explicit undirected graph world for non-grid instances."""
+    """Explicit undirected graph world for non-grid instances.
 
-    __slots__ = ("_adj",)
+    Like GridMap it numbers its nodes (in name order) and keeps a read-only
+    neighbor-index table, so the grid module's distance searches take it.
+    """
+
+    __slots__ = ("_adj", "_names", "_index", "_nbr")
 
     def __init__(self, adjacency: Mapping[str, Iterable[str]]):
         adj: dict[str, tuple[str, ...]] = {}
@@ -77,6 +81,9 @@ class AdjacencyGraph:
                 if other not in adj or node not in adj[other]:
                     raise ValueError(f"edge {node!r}-{other!r} is not symmetric")
         self._adj = adj
+        self._names = sorted(adj)
+        self._index = {name: i for i, name in enumerate(self._names)}
+        self._nbr = [tuple(self._index[v] for v in adj[u]) for u in self._names]
 
     @classmethod
     def from_edges(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "AdjacencyGraph":
@@ -91,7 +98,14 @@ class AdjacencyGraph:
         return cls(adj)
 
     def nodes(self) -> Iterator[str]:
-        return iter(sorted(self._adj))
+        return iter(self._names)
+
+    def index(self, node: str) -> int:
+        return self._index[node]
+
+    def cell(self, i: int) -> str:
+        """Node number i, named after GridMap.cell so searches take either world."""
+        return self._names[i]
 
     def neighbors(self, node: str) -> list[str]:
         return list(self._adj[node])
@@ -326,29 +340,48 @@ def audit_team_step(
 
 # -------- instance JSON --------
 
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", tuple: "a list"}
+
+
+def json_field(doc: object, key: str, where: str, kind=None, default=_REQUIRED):
+    """doc[key], converted by kind when given; default when key is absent.
+
+    Any failure raises ValueError naming where (the document) and key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no {key!r}")
+        return default
+    value = doc[key]
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} {key!r} must be {_KINDS[kind]}, got {value!r}") from None
+
 
 def instance_to_json(instance: Instance) -> dict:
     """Instance as a JSON-ready dict (grid rows inlined, graphs explicit)."""
     doc: dict = {"time_limit": instance.time_limit}
     world = instance.world
     if isinstance(world, GridMap):
-        rows = dump_map(world).splitlines()[4:]
-        doc["map"] = rows
-        doc["attackers"] = [
-            {"start": list(s), "target": list(t)}
-            for s, t in zip(instance.attacker_starts, instance.attacker_targets)
-        ]
-        doc["defenders"] = [{"start": list(s)} for s in instance.defender_starts]
+        doc["map"] = dump_map(world).splitlines()[4:]
+        node = list
     else:
         doc["graph"] = {
             "nodes": list(world.nodes()),
             "edges": [list(e) for e in world.edge_list()],
         }
-        doc["attackers"] = [
-            {"start": s, "target": t}
-            for s, t in zip(instance.attacker_starts, instance.attacker_targets)
-        ]
-        doc["defenders"] = [{"start": s} for s in instance.defender_starts]
+        node = lambda v: v
+    doc["attackers"] = [
+        {"start": node(s), "target": node(t)}
+        for s, t in zip(instance.attacker_starts, instance.attacker_targets)
+    ]
+    doc["defenders"] = [{"start": node(s)} for s in instance.defender_starts]
     if instance.metadata is not None:
         doc["metadata"] = instance.metadata
     return doc
@@ -361,18 +394,18 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
     file, resolved relative to base_dir. Reduced instances carry a "graph"
     object instead of a map.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance must be a JSON object, got {doc!r}")
     if ("map" in doc) == ("graph" in doc):
         raise ValueError("instance needs exactly one of 'map' or 'graph'")
     if "map" in doc:
         map_src = doc["map"]
         if isinstance(map_src, str):
             world: World = load_map(os.path.join(base_dir, map_src))
+        elif isinstance(map_src, list) and all(isinstance(row, str) for row in map_src):
+            world = parse_rows(map_src)
         else:
-            from areaguard.grid import parse_map
-
-            width = len(map_src[0]) if map_src else 0
-            header = f"type octile\nheight {len(map_src)}\nwidth {width}\nmap\n"
-            world = parse_map(header + "\n".join(map_src) + "\n")
+            raise ValueError("instance 'map' must be a .map file path or a list of row strings")
 
         def to_node(v, where: str) -> Node:
             if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
@@ -380,17 +413,22 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             raise ValueError(f"{where} must be a pair of integers")
     else:
         g = doc["graph"]
-        world = AdjacencyGraph.from_edges(g["nodes"], [tuple(e) for e in g["edges"]])
+        nodes = json_field(g, "nodes", "instance 'graph'")
+        edges = json_field(g, "edges", "instance 'graph'")
+        names = lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)
+        if not names(nodes):
+            raise ValueError("instance 'graph' 'nodes' must be a list of strings")
+        if not (isinstance(edges, list) and all(names(e) and len(e) == 2 for e in edges)):
+            raise ValueError("instance 'graph' 'edges' must be a list of node-name pairs")
+        world = AdjacencyGraph.from_edges(nodes, [tuple(e) for e in edges])
         to_node = lambda v, where: v
     attackers = doc.get("attackers", [])
     defenders = doc.get("defenders", [])
 
     def agent_nodes(team: str, agents: list, key: str) -> tuple[Node, ...]:
-        for i, agent in enumerate(agents):
-            if key not in agent:
-                raise ValueError(f"{team} {i} has no {key!r}")
         return tuple(
-            to_node(agent[key], f"{team} {i} {key!r}") for i, agent in enumerate(agents)
+            to_node(json_field(agent, key, f"{team} {i}"), f"{team} {i} {key!r}")
+            for i, agent in enumerate(agents)
         )
 
     return Instance(
@@ -398,7 +436,7 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
         attacker_starts=agent_nodes("attacker", attackers, "start"),
         attacker_targets=agent_nodes("attacker", attackers, "target"),
         defender_starts=agent_nodes("defender", defenders, "start"),
-        time_limit=int(doc.get("time_limit", 1)),
+        time_limit=json_field(doc, "time_limit", "instance", int),
         metadata=doc.get("metadata"),
     )
 

@@ -15,10 +15,10 @@ defender's shortest route to the clause target.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from areaguard.grid import bfs_distance_table
 from areaguard.model import AdjacencyGraph, Instance
 
 
@@ -157,22 +157,6 @@ def pair_indices(formula: QbfFormula) -> dict[int, int]:
     return rho
 
 
-def _graph_distance(adjacency: dict[str, list[str]], src: str, dst: str) -> int:
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque((src,))
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == dst:
-                    return dist[v]
-                queue.append(v)
-    raise ValueError(f"no path from {src} to {dst} in the reduced graph")
-
-
 def reduce_to_instance(formula: QbfFormula) -> Instance:
     """Compile the formula into a graph protection instance.
 
@@ -261,33 +245,24 @@ def reduce_to_instance(formula: QbfFormula) -> Instance:
             edges.append((entry, f"x{v}.{side}{depth}"))
         clause_entries.append((hub, tgt))
 
+    # Tails only hang new chains off the hubs, so the graph without them is
+    # connected exactly when the final one is, and every distance in it
+    # is finite then.
+    pre_tail = AdjacencyGraph.from_edges(nodes, edges)
+    if min(bfs_distance_table(pre_tail, nodes[0])) < 0:
+        raise ValueError(
+            "reduced graph is disconnected; the formula splits into independent parts"
+        )
     # Attacker tails are sized one edge beyond the clause defender's
     # shortest route to the clause target, measured before any tail exists.
-    adjacency: dict[str, list[str]] = {name: [] for name in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
     tail_edges: dict[str, int] = {}
     for j, (hub, tgt) in enumerate(clause_entries, 1):
-        k = _graph_distance(adjacency, f"C{j}.d{chain_len}", tgt) + 1
+        k = bfs_distance_table(pre_tail, f"C{j}.d{chain_len}")[pre_tail.index(tgt)] + 1
         tail_edges[f"C{j}"] = k
         tail = add_chain(hub, [f"C{j}.t{i}" for i in range(1, k + 1)])
         add_attacker(tail[-1], tgt, f"clause {j} attacker")
 
     graph = AdjacencyGraph.from_edges(nodes, edges)
-    reachable = {nodes[0]}
-    queue = deque((nodes[0],))
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    if len(reachable) != len(nodes):
-        raise ValueError(
-            "reduced graph is disconnected; the formula splits into independent parts"
-        )
-
     return Instance(
         world=graph,
         attacker_starts=tuple(attacker_starts),

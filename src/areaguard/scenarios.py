@@ -11,13 +11,12 @@ band ("overlapped") or holding the middle band ("separated").
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from areaguard.grid import Cell, GridMap, load_map
-from areaguard.model import Instance
+from areaguard.grid import Cell, GridMap, bfs_distance_table, load_map, nearest_target_path
+from areaguard.model import Instance, json_field
 
 PLACEMENTS = ("overlapped", "separated")
 MAP_KINDS = ("empty", "rooms", "ruins", "file")
@@ -73,22 +72,6 @@ def _wall_lines(size: int, rooms: int) -> list[int]:
     return [i * size // rooms for i in range(1, rooms)]
 
 
-def _runs(length: int, cuts: set[int]) -> list[list[int]]:
-    """Maximal runs of 0..length-1 that avoid the cut positions."""
-    runs: list[list[int]] = []
-    current: list[int] = []
-    for i in range(length):
-        if i in cuts:
-            if current:
-                runs.append(current)
-                current = []
-        else:
-            current.append(i)
-    if current:
-        runs.append(current)
-    return runs
-
-
 def _rooms_blocked(
     width: int,
     height: int,
@@ -103,6 +86,8 @@ def _rooms_blocked(
     bottom), then row walls (top to bottom, segments left to right), so
     the rng stream is reproducible across map kinds.
     """
+    if width < 1 or height < 1:
+        raise GenerationError(f"map dimensions must be positive, got {width}x{height}")
     if rooms_x < 1 or rooms_y < 1:
         raise GenerationError("room counts must be at least 1")
     if door_width < 1:
@@ -114,84 +99,53 @@ def _rooms_blocked(
         blocked.update((vx, y) for y in range(height))
     for hy in hys:
         blocked.update((x, hy) for x in range(width))
-    for vx in vxs:
-        for seg in _runs(height, set(hys)):
-            if door_width >= len(seg):
-                raise GenerationError(
-                    f"door width {door_width} does not fit a wall segment of {len(seg)} cells"
-                )
-            start = rng.randrange(len(seg) - door_width + 1)
-            for y in seg[start : start + door_width]:
-                blocked.discard((vx, y))
-    for hy in hys:
-        for seg in _runs(width, set(vxs)):
-            if door_width >= len(seg):
-                raise GenerationError(
-                    f"door width {door_width} does not fit a wall segment of {len(seg)} cells"
-                )
-            start = rng.randrange(len(seg) - door_width + 1)
-            for x in seg[start : start + door_width]:
-                blocked.discard((x, hy))
+    # Wall segments run between crossings and borders.
+    col_segs = _consecutive_runs([y for y in range(height) if y not in hys])
+    row_segs = _consecutive_runs([x for x in range(width) if x not in vxs])
+    walls = [[(vx, y) for y in seg] for vx in vxs for seg in col_segs]
+    walls += [[(x, hy) for x in seg] for hy in hys for seg in row_segs]
+    for wall in walls:
+        if door_width >= len(wall):
+            raise GenerationError(
+                f"door width {door_width} does not fit a wall segment of {len(wall)} cells"
+            )
+        start = rng.randrange(len(wall) - door_width + 1)
+        blocked.difference_update(wall[start : start + door_width])
     return blocked
 
 
-def _passable_components(width: int, height: int, blocked: set[Cell]) -> list[set[Cell]]:
-    seen: set[Cell] = set()
-    components: list[set[Cell]] = []
-    for y in range(height):
-        for x in range(width):
-            cell = (x, y)
-            if cell in blocked or cell in seen:
-                continue
-            comp = {cell}
-            queue = deque((cell,))
-            while queue:
-                cx, cy = queue.popleft()
-                for nxt in ((cx, cy - 1), (cx, cy + 1), (cx - 1, cy), (cx + 1, cy)):
-                    nx, ny = nxt
-                    if 0 <= nx < width and 0 <= ny < height and nxt not in blocked and nxt not in comp:
-                        comp.add(nxt)
-                        queue.append(nxt)
-            seen |= comp
-            components.append(comp)
-    return components
+def _home_component(grid: GridMap) -> list[int] | None:
+    """Distances from the first passable cell (row-major), -1 outside its
+    component; None when that flood reaches every passable cell or there is
+    no passable cell."""
+    first = next(grid.passable_cells(), None)
+    if first is None:
+        return None
+    table = bfs_distance_table(grid, first)
+    if len(table) - table.count(-1) == grid.passable_count:
+        return None
+    return table
 
 
-def _repair_connectivity(width: int, height: int, blocked: set[Cell]) -> set[Cell]:
+def _repair_connectivity(width: int, height: int, blocked: set[Cell]) -> GridMap:
     """Carve shortest corridors through walls until one passable component.
 
-    Each pass runs a breadth-first search from the first component across
-    every in-bounds cell and knocks down the wall cells on the first path
-    that reaches a different component.
+    Each pass searches from the home component (the first passable cell's)
+    across every in-bounds cell and removes from blocked the wall cells on
+    the first path that reaches a passable cell outside it.
     """
     while True:
-        components = _passable_components(width, height, blocked)
-        if len(components) <= 1:
-            return blocked
-        home = components[0]
-        foreign = {c: i for i, comp in enumerate(components[1:], 1) for c in comp}
-        parent: dict[Cell, Cell | None] = {}
-        queue: deque[Cell] = deque()
-        for cell in sorted(home, key=lambda c: (c[1], c[0])):
-            parent[cell] = None
-            queue.append(cell)
-        hit: Cell | None = None
-        while queue and hit is None:
-            cx, cy = queue.popleft()
-            for nxt in ((cx, cy - 1), (cx, cy + 1), (cx - 1, cy), (cx + 1, cy)):
-                nx, ny = nxt
-                if not (0 <= nx < width and 0 <= ny < height) or nxt in parent:
-                    continue
-                parent[nxt] = (cx, cy)
-                if nxt in foreign:
-                    hit = nxt
-                    break
-                queue.append(nxt)
-        assert hit is not None, "disconnected map with no wall path between components"
-        step: Cell | None = hit
-        while step is not None:
-            blocked.discard(step)
-            step = parent[step]
+        grid = GridMap(width, height, blocked)
+        home = _home_component(grid)
+        if home is None:
+            return grid
+        path = nearest_target_path(
+            [grid.cell(i) for i, d in enumerate(home) if d >= 0],
+            grid.in_bounds,
+            lambda c: grid.is_passable(c) and home[grid.index(c)] < 0,
+        )
+        assert path is not None, "disconnected map with no wall path between components"
+        blocked.difference_update(path)
 
 
 def generate_rooms_map(
@@ -202,11 +156,8 @@ def generate_rooms_map(
     door_width: int = 1,
     seed: int = 0,
 ) -> GridMap:
-    rng = random.Random(seed)
-    blocked = _rooms_blocked(width, height, rooms_x, rooms_y, door_width, rng)
-    if len(_passable_components(width, height, blocked)) != 1:
-        raise GenerationError("rooms layout came out disconnected")
-    return GridMap(width, height, blocked)
+    """A rooms layout: generate_ruins_map without damage or jitter."""
+    return generate_ruins_map(width, height, rooms_x, rooms_y, door_width, seed=seed)
 
 
 def generate_ruins_map(
@@ -221,11 +172,11 @@ def generate_ruins_map(
 ) -> GridMap:
     """A rooms layout degraded into ruins.
 
-    The door layout consumes the same rng stream as generate_rooms_map, so
-    damage_rate=0 with jitter=0 reproduces that map exactly. Wall chunks
-    are then shifted perpendicular to their wall, individual cells are
-    knocked out at damage_rate, and any resulting disconnection is repaired
-    by carving shortest corridors.
+    With damage_rate=0 and jitter=0 this is the plain rooms layout, which
+    must come out connected. Otherwise wall chunks are shifted
+    perpendicular to their wall, individual cells are knocked out at
+    damage_rate, and any resulting disconnection is repaired by carving
+    shortest corridors.
     """
     if not 0.0 <= damage_rate <= 1.0:
         raise GenerationError(f"damage rate must be within [0, 1], got {damage_rate}")
@@ -234,35 +185,32 @@ def generate_ruins_map(
     layout_rng = random.Random(seed)
     blocked = _rooms_blocked(width, height, rooms_x, rooms_y, door_width, layout_rng)
     if damage_rate == 0.0 and jitter == 0:
-        if len(_passable_components(width, height, blocked)) != 1:
+        grid = GridMap(width, height, blocked)
+        if not grid.passable_count or _home_component(grid) is not None:
             raise GenerationError("rooms layout came out disconnected")
-        return GridMap(width, height, blocked)
+        return grid
 
     ruin_rng = random.Random(f"{seed}:ruin")
     vxs = set(_wall_lines(width, rooms_x))
     hys = set(_wall_lines(height, rooms_y))
     if jitter:
+        # (wall line, is a column, positions along it). A cell on a column
+        # wall belongs to that column even at a wall crossing, so each cell
+        # is shifted exactly once.
+        lines = [(vx, True, sorted(y for (x, y) in blocked if x == vx)) for vx in sorted(vxs)]
+        lines += [
+            (hy, False, sorted(x for (x, y) in blocked if y == hy and x not in vxs))
+            for hy in sorted(hys)
+        ]
         shifted: set[Cell] = set()
-        # A cell on a column wall belongs to that column even at a wall
-        # crossing, so each cell is shifted exactly once.
-        for vx in sorted(vxs):
-            ys = sorted(y for (x, y) in blocked if x == vx)
-            for run in _consecutive_runs(ys):
+        for at, column, along in lines:
+            for run in _consecutive_runs(along):
                 for chunk_start in range(0, len(run), RUIN_CHUNK_LENGTH):
-                    chunk = run[chunk_start : chunk_start + RUIN_CHUNK_LENGTH]
                     d = ruin_rng.randint(-jitter, jitter)
-                    for y in chunk:
-                        if 0 <= vx + d < width:
-                            shifted.add((vx + d, y))
-        for hy in sorted(hys):
-            xs = sorted(x for (x, y) in blocked if y == hy and x not in vxs)
-            for run in _consecutive_runs(xs):
-                for chunk_start in range(0, len(run), RUIN_CHUNK_LENGTH):
-                    chunk = run[chunk_start : chunk_start + RUIN_CHUNK_LENGTH]
-                    d = ruin_rng.randint(-jitter, jitter)
-                    for x in chunk:
-                        if 0 <= hy + d < height:
-                            shifted.add((x, hy + d))
+                    for i in run[chunk_start : chunk_start + RUIN_CHUNK_LENGTH]:
+                        x, y = (at + d, i) if column else (i, at + d)
+                        if 0 <= x < width and 0 <= y < height:
+                            shifted.add((x, y))
         blocked = shifted
     if damage_rate:
         blocked = {
@@ -270,8 +218,7 @@ def generate_ruins_map(
             for cell in sorted(blocked, key=lambda c: (c[1], c[0]))
             if ruin_rng.random() >= damage_rate
         }
-    blocked = _repair_connectivity(width, height, blocked)
-    return GridMap(width, height, blocked)
+    return _repair_connectivity(width, height, blocked)
 
 
 def _consecutive_runs(values: list[int]) -> list[list[int]]:
@@ -366,15 +313,15 @@ def generate_instance(spec: ScenarioSpec, seed: int, base_dir: str | Path = ".")
     )
 
 
-def _rect_to_json(rect: Rect | None) -> list[int] | None:
-    return None if rect is None else [rect.x, rect.y, rect.width, rect.height]
-
-
-def _rect_from_json(doc) -> Rect | None:
-    if doc is None:
+def _rect_from_json(doc: dict, key: str, where: str) -> Rect | None:
+    value = doc.get(key)
+    if value is None:
         return None
-    x, y, w, h = doc
-    return Rect(int(x), int(y), int(w), int(h))
+    try:
+        x, y, w, h = (int(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} {key!r} must be a list of four integers, got {value!r}") from None
+    return Rect(x, y, w, h)
 
 
 def spec_to_json(spec: ScenarioSpec) -> dict:
@@ -405,39 +352,41 @@ def spec_to_json(spec: ScenarioSpec) -> dict:
         ("target_rect", spec.target_rect),
     ):
         if rect is not None:
-            doc[key] = _rect_to_json(rect)
+            doc[key] = [rect.x, rect.y, rect.width, rect.height]
     return doc
 
 
 def map_spec_from_json(m: dict) -> MapSpec:
-    kind = m["kind"]
+    where = "map spec"
+    kind = json_field(m, "kind", where)
     if kind not in MAP_KINDS:
         raise GenerationError(f"unknown map kind {kind!r}")
     return MapSpec(
         kind=kind,
-        width=int(m.get("width", 0)),
-        height=int(m.get("height", 0)),
-        rooms_x=int(m.get("rooms_x", 1)),
-        rooms_y=int(m.get("rooms_y", 1)),
-        door_width=int(m.get("door_width", 1)),
-        damage_rate=float(m.get("damage_rate", 0.0)),
-        jitter=int(m.get("jitter", 0)),
+        width=json_field(m, "width", where, int, 0),
+        height=json_field(m, "height", where, int, 0),
+        rooms_x=json_field(m, "rooms_x", where, int, 1),
+        rooms_y=json_field(m, "rooms_y", where, int, 1),
+        door_width=json_field(m, "door_width", where, int, 1),
+        damage_rate=json_field(m, "damage_rate", where, float, 0.0),
+        jitter=json_field(m, "jitter", where, int, 0),
         path=m.get("path"),
     )
 
 
 def spec_from_json(doc: dict) -> ScenarioSpec:
-    map_spec = map_spec_from_json(doc["map"])
+    where = "scenario spec"
+    map_spec = map_spec_from_json(json_field(doc, "map", where))
     placement = doc.get("placement", "overlapped")
     if placement not in PLACEMENTS:
         raise GenerationError(f"unknown placement {placement!r}")
     return ScenarioSpec(
         map=map_spec,
-        n_attackers=int(doc["attackers"]),
-        n_defenders=int(doc["defenders"]),
-        time_limit=int(doc["time_limit"]),
+        n_attackers=json_field(doc, "attackers", where, int),
+        n_defenders=json_field(doc, "defenders", where, int),
+        time_limit=json_field(doc, "time_limit", where, int),
         placement=placement,
-        attacker_rect=_rect_from_json(doc.get("attacker_rect")),
-        defender_rect=_rect_from_json(doc.get("defender_rect")),
-        target_rect=_rect_from_json(doc.get("target_rect")),
+        attacker_rect=_rect_from_json(doc, "attacker_rect", where),
+        defender_rect=_rect_from_json(doc, "defender_rect", where),
+        target_rect=_rect_from_json(doc, "target_rect", where),
     )

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from areaguard.grid import Cell, GridMap
+from areaguard.grid import Cell, GridMap, bfs_distance_table
 
 
 def grid_from_rows(rows: list[str]) -> GridMap:
@@ -57,3 +57,12 @@ def brute_force_shortest(grid: GridMap, src: Cell, dst: Cell, cap: int = 8) -> i
         if any(w[-1] == dst for w in enumerate_walks(grid, src, moves)):
             return moves
     return None
+
+
+def is_connected(grid: GridMap) -> bool:
+    """True when the passable cells form exactly one 4-connected component."""
+    cells = list(grid.passable_cells())
+    if not cells:
+        return False
+    table = bfs_distance_table(grid, cells[0])
+    return all(table[grid.index(c)] >= 0 for c in cells)

@@ -206,3 +206,66 @@ def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert main(["bench", "--config", str(config_path), "-o", str(out_dir), "--jobs", jobs]) == 2
     assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
     assert not out_dir.exists()
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+GRAPH_INSTANCE = {
+    "time_limit": 3,
+    "graph": {"nodes": ["u", "v"], "edges": [["u", "v"]]},
+    "attackers": [{"start": "u", "target": "v"}],
+}
+GRID_INSTANCE = {"time_limit": 3, "map": ["...."], "attackers": [{"start": [0, 0], "target": [3, 0]}]}
+
+# (subcommand, document, the error line after "error: ")
+BAD_DOCUMENTS = [
+    ("bench", _without(BENCH_DOC, "ratios"), "bench config has no 'ratios'"),
+    ("bench", {**BENCH_DOC, "runs": None}, "bench config 'runs' must be an integer, got None"),
+    ("bench", {**BENCH_DOC, "ratios": [2]}, "ratio must look like '1:k' with k >= 1, got 2"),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": [{**BENCH_DOC["maps"][0], "attacker_rect": 5}]},
+        "bench config map 0 'attacker_rect' must be a list of four integers, got 5",
+    ),
+    ("bench", {**BENCH_DOC, "maps": [{"name": "open"}]}, "bench config map 0 has no 'map'"),
+    ("gen", _without(SPEC_DOC, "attackers"), "scenario spec has no 'attackers'"),
+    (
+        "gen",
+        {**SPEC_DOC, "attacker_rect": 5},
+        "scenario spec 'attacker_rect' must be a list of four integers, got 5",
+    ),
+    ("gen", {**SPEC_DOC, "map": 5}, "map spec must be a JSON object, got 5"),
+    ("gen", {**SPEC_DOC, "map": [1, 2]}, "map spec must be a JSON object, got [1, 2]"),
+    ("gen", {**SPEC_DOC, "map": {"a": 1}}, "map spec has no 'kind'"),
+    ("gen", [SPEC_DOC], f"scenario spec must be a JSON object, got {[SPEC_DOC]!r}"),
+    (
+        "run",
+        {**GRAPH_INSTANCE, "graph": {"nodes": ["u", "v"]}},
+        "instance 'graph' has no 'edges'",
+    ),
+    ("run", _without(GRID_INSTANCE, "time_limit"), "instance has no 'time_limit'"),
+    ("run", {**GRID_INSTANCE, "attackers": [5]}, "attacker 0 must be a JSON object, got 5"),
+    (
+        "run",
+        {**GRID_INSTANCE, "map": ["....", "..x."]},
+        "map row 2, column 3: unknown terrain character 'x'",
+    ),
+] + [
+    ("run", {**GRID_INSTANCE, "map": bad},
+     "instance 'map' must be a .map file path or a list of row strings")
+    for bad in (5, [1, 2], {"a": 1})
+]
+
+
+@pytest.mark.parametrize("command, doc, message", BAD_DOCUMENTS)
+def test_bad_document_is_a_one_line_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    flag = {"bench": "--config", "gen": "--spec", "run": "--instance"}[command]
+    argv = [command, flag, str(path)]
+    if command != "run":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -8,12 +8,15 @@ import pytest
 from areaguard.grid import (
     GridMap,
     MapFormatError,
+    bfs_distance_table,
     bfs_distances,
     dump_map,
+    nearest_target_path,
     obstacle_components,
     parse_map,
     shortest_path,
 )
+from areaguard.model import AdjacencyGraph
 from helpers import brute_force_shortest, enumerate_walks, grid_from_rows, random_grid
 
 MAP_TEXT = """type octile
@@ -130,6 +133,43 @@ def test_bfs_distances_respects_forbidden():
     corridor = grid_from_rows(["....."])
     dist = bfs_distances(corridor, (0, 0), forbidden={(2, 0)})
     assert dist == {(0, 0): 0, (1, 0): 1}
+
+
+def test_bfs_distances_on_an_adjacency_graph():
+    # a - b - c - d, a - e - d, and f on its own; nodes are numbered by name.
+    graph = AdjacencyGraph.from_edges(
+        list("fedcba"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("e", "d")]
+    )
+    assert [graph.index(n) for n in "abcdef"] == [0, 1, 2, 3, 4, 5]
+    assert [graph.cell(i) for i in range(6)] == list("abcdef")
+    assert bfs_distances(graph, "a") == {"a": 0, "b": 1, "e": 1, "c": 2, "d": 2}
+    assert bfs_distance_table(graph, "a") == [0, 1, 2, 2, 1, -1]
+    # Forbidding e sends the route to d the long way; the source is never forbidden.
+    assert bfs_distances(graph, "a", forbidden={"e", "a"}) == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert bfs_distance_table(graph, "a", forbidden={"e"}) == [0, 1, 2, 3, -1, -1]
+    assert bfs_distances(graph, "f") == {"f": 0}
+    with pytest.raises(ValueError):
+        bfs_distance_table(graph, "z")
+
+
+def test_nearest_target_path_tie_breaking():
+    box = lambda c: 0 <= c[0] < 5 and 0 <= c[1] < 5
+    # Four targets two steps away: N is expanded first.
+    cross = {(2, 0), (0, 2), (4, 2), (2, 4)}
+    assert nearest_target_path([(2, 2)], box, cross.__contains__) == [(2, 2), (2, 1), (2, 0)]
+    # Two diagonal targets: N before W on the way to the first.
+    diag = {(1, 1), (3, 3)}
+    assert nearest_target_path([(2, 2)], box, diag.__contains__) == [(2, 2), (2, 1), (1, 1)]
+    # Equidistant sources: the one listed first wins.
+    mid = {(2, 0)}.__contains__
+    assert nearest_target_path([(4, 0), (0, 0)], box, mid) == [(4, 0), (3, 0), (2, 0)]
+    assert nearest_target_path([(0, 0), (4, 0)], box, mid) == [(0, 0), (1, 0), (2, 0)]
+    # The first source that is a target is a one-cell path.
+    assert nearest_target_path([(1, 1), (2, 0), (0, 2)], box, cross.__contains__) == [(2, 0)]
+    # allowed fences the search; None when no target is reachable.
+    left = lambda c: box(c) and c[0] < 2
+    assert nearest_target_path([(0, 0)], left, mid) is None
+    assert nearest_target_path([], box, mid) is None
 
 
 def test_path_length_agrees_with_distance_field():

@@ -282,3 +282,25 @@ def test_instance_json_needs_exactly_one_world():
         instance_from_json({"time_limit": 1})
     with pytest.raises(ValueError):
         instance_from_json({"map": ["."], "graph": {"nodes": [], "edges": []}})
+
+
+def test_inline_map_error_names_the_map_row():
+    doc = {"time_limit": 1, "map": ["....", "..x."], "attackers": [], "defenders": []}
+    with pytest.raises(ValueError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == "map row 2, column 3: unknown terrain character 'x'"
+    doc["map"] = ["....", "..."]
+    with pytest.raises(ValueError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == "map row 2: row has 3 characters, expected 4"
+
+
+def test_instance_without_time_limit_is_rejected():
+    doc = {"map": ["...."], "attackers": [{"start": [0, 0], "target": [3, 0]}]}
+    with pytest.raises(ValueError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == "instance has no 'time_limit'"
+    doc["time_limit"] = None
+    with pytest.raises(ValueError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == "instance 'time_limit' must be an integer, got None"

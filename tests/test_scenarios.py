@@ -1,4 +1,5 @@
 """Map generation and agent placement tests."""
+import importlib.util
 import random
 import statistics
 from pathlib import Path
@@ -11,7 +12,6 @@ from areaguard.scenarios import (
     MapSpec,
     Rect,
     ScenarioSpec,
-    _passable_components,
     build_map,
     default_rects,
     generate_instance,
@@ -20,6 +20,7 @@ from areaguard.scenarios import (
     spec_from_json,
     spec_to_json,
 )
+from helpers import is_connected
 
 
 def test_rect_cells_order_and_contains():
@@ -43,7 +44,7 @@ def test_two_room_wall_has_one_door():
     doors = [c for c in column if grid.is_passable(c)]
     assert len(doors) == 1
     assert all(grid.is_passable((x, y)) for x in range(44) for y in range(12) if x != wall_x)
-    assert len(_passable_components(44, 12, set(grid.blocked))) == 1
+    assert is_connected(grid)
 
 
 def test_three_by_three_rooms_geometry():
@@ -62,7 +63,7 @@ def test_three_by_three_rooms_geometry():
     # Wall crossings stay blocked so doors never open diagonally.
     for cross in ((14, 14), (14, 29), (29, 14), (29, 29)):
         assert not grid.is_passable(cross)
-    assert len(_passable_components(44, 44, set(grid.blocked))) == 1
+    assert is_connected(grid)
 
 
 def test_rooms_deterministic_and_seed_sensitive():
@@ -72,7 +73,7 @@ def test_rooms_deterministic_and_seed_sensitive():
         b = generate_rooms_map(30, 20, 3, 2, door_width=2, seed=seed)
         assert a == b
         layouts.add(a.blocked)
-        assert len(_passable_components(30, 20, set(a.blocked))) == 1
+        assert is_connected(a)
     assert len(layouts) > 1
 
 
@@ -81,6 +82,12 @@ def test_door_wider_than_segment_is_rejected():
     with pytest.raises(GenerationError):
         generate_rooms_map(10, 4, rooms_x=2, rooms_y=1, door_width=4, seed=0)
     generate_rooms_map(10, 4, rooms_x=2, rooms_y=1, door_width=3, seed=0)
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, -1)])
+def test_rooms_map_without_cells_is_rejected(width, height):
+    with pytest.raises(GenerationError, match=f"got {width}x{height}"):
+        generate_rooms_map(width, height, seed=0)
 
 
 def test_ruins_without_damage_matches_rooms_exactly():
@@ -114,7 +121,7 @@ def test_ruins_stay_connected():
         grid = generate_ruins_map(
             44, 44, 3, 3, door_width=1, damage_rate=damage, jitter=1, seed=seed
         )
-        assert len(_passable_components(44, 44, set(grid.blocked))) == 1
+        assert is_connected(grid)
 
 
 def test_ruins_deterministic():
@@ -221,13 +228,25 @@ def test_spec_json_round_trip():
     assert spec_from_json(spec_to_json(plain)) == plain
 
 
+def test_standin_script_reproduces_committed_maps():
+    root = Path(__file__).resolve().parent.parent
+    loader = importlib.util.spec_from_file_location(
+        "make_standin_maps", root / "scripts" / "make_standin_maps.py"
+    )
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    for name, grid in (("islands_standin.map", script.islands(101)),
+                       ("scatter_standin.map", script.scatter(202))):
+        assert dump_map(grid).encode("ascii") == (root / "maps" / name).read_bytes()
+
+
 def test_committed_standin_maps_are_intact():
     maps_dir = Path(__file__).resolve().parent.parent / "maps"
     for name, free_cells in (("islands_standin.map", 1921), ("scatter_standin.map", 1922)):
         grid = load_map(maps_dir / name)
         assert grid.width == 48 and grid.height == 48
         assert grid.passable_count == free_cells
-        assert len(_passable_components(48, 48, set(grid.blocked))) == 1
+        assert is_connected(grid)
 
 
 def test_spec_json_rejects_unknown_fields():
