@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from areaguard.grid import (
     Cell,
@@ -34,14 +33,10 @@ Allocation = dict[int, Cell]
 
 STRATEGIES = ("random", "greedy", "strict-greedy", "bottleneck")
 
-
-@dataclass(frozen=True)
-class BottleneckParams:
-    """Knobs for the bottleneck-simulation strategy."""
-
-    rng_seed: int = 0
-    vicinity_limit: int = 5
-    max_iterations: int = 32
+# Largest Chebyshev radius search_vicinity looks at around a peak cell.
+VICINITY_LIMIT = 5
+# Most bottlenecks allocate_bottleneck blocks before the fallback.
+MAX_BOTTLENECK_ROUNDS = 32
 
 
 def allocate_random(instance: Instance, seed: int) -> Allocation:
@@ -186,7 +181,7 @@ def select_peak(freq: dict[Cell, int], defender_cells: list[Cell], grid: GridMap
     return min(peaks, key=lambda c: (c[1], c[0]))
 
 
-def search_vicinity(grid: GridMap, peak: Cell, limit: int = 5) -> set[Cell]:
+def search_vicinity(grid: GridMap, peak: Cell) -> set[Cell]:
     """Look for a map bottleneck near the peak cell.
 
     Squares of growing Chebyshev radius around the peak collect obstacle
@@ -195,11 +190,11 @@ def search_vicinity(grid: GridMap, peak: Cell, limit: int = 5) -> set[Cell]:
     shortest passable 4-connected path inside the square whose endpoints
     touch two different components is the presumed bottleneck; blocking it
     would locally separate the obstacle groups. Returns the path's cells,
-    or an empty set when no bottleneck shows up within the radius limit.
+    or an empty set when no bottleneck shows up within VICINITY_LIMIT.
     """
     px, py = peak
     obstacles: set[Cell] = set()
-    for r in range(1, limit + 1):
+    for r in range(1, VICINITY_LIMIT + 1):
         for x in range(px - r, px + r + 1):
             for y in (py - r, py + r):
                 if not grid.is_passable((x, y)):
@@ -265,10 +260,10 @@ def confirm_bottleneck(
     return None
 
 
-def allocate_bottleneck(instance: Instance, params: BottleneckParams = BottleneckParams()) -> Allocation:
+def allocate_bottleneck(instance: Instance, seed: int) -> Allocation:
     """Block likely chokepoints first, then spread leftovers over targets.
 
-    Loop (at most max_iterations): estimate attacker routes around
+    Loop (at most MAX_BOTTLENECK_ROUNDS): estimate attacker routes around
     everything already blocked, take the busiest cell, look for a bottleneck
     near it, and assign its cells not yet held to the nearest free
     defenders. The loop stops when defenders run out, no route survives, no
@@ -281,10 +276,9 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
     allocation: Allocation = {}
     available = list(range(instance.n_defenders))
     forbidden: set[Cell] = set()
-    seed = params.rng_seed
 
     paths = estimate_attacker_paths(instance, forbidden, seed)
-    for _ in range(params.max_iterations):
+    for _ in range(MAX_BOTTLENECK_ROUNDS):
         if not available:
             break
         freq = visit_frequency(paths)
@@ -292,7 +286,7 @@ def allocate_bottleneck(instance: Instance, params: BottleneckParams = Bottlenec
             break
         starts = [instance.defender_starts[d] for d in available]
         peak = select_peak(freq, starts, grid)
-        cells = search_vicinity(grid, peak, params.vicinity_limit) - forbidden
+        cells = search_vicinity(grid, peak) - forbidden
         if not cells or len(cells) > len(available):
             break
         confirmed = confirm_bottleneck(instance, forbidden, cells, paths, seed)
@@ -334,12 +328,7 @@ def _nearest_first_matching(
     return {available[r]: ordered[c] for r, c in pairs}
 
 
-def allocate_for(
-    instance: Instance,
-    strategy: str,
-    seed: int,
-    params: BottleneckParams | None = None,
-) -> Allocation:
+def allocate_for(instance: Instance, strategy: str, seed: int) -> Allocation:
     """Run one strategy by name; seed feeds the seeded strategies."""
     if strategy == "random":
         return allocate_random(instance, seed)
@@ -348,9 +337,7 @@ def allocate_for(
     if strategy == "strict-greedy":
         return allocate_strict_greedy(instance)
     if strategy == "bottleneck":
-        if params is None:
-            params = BottleneckParams(rng_seed=seed)
-        return allocate_bottleneck(instance, params)
+        return allocate_bottleneck(instance, seed)
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 

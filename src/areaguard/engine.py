@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from areaguard.allocate import Allocation, BottleneckParams, allocate_for
+from areaguard.allocate import Allocation, allocate_for
 from areaguard.grid import Cell, GridMap, shortest_path
 from areaguard.model import (
     AgentId,
@@ -85,7 +85,6 @@ def run_simulation(
     instance: Instance,
     strategy: str = "random",
     seed: int = 0,
-    params: BottleneckParams | None = None,
     allocation: Allocation | None = None,
     keep_trace: bool = False,
     audit: bool = False,
@@ -106,7 +105,7 @@ def run_simulation(
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
     if allocation is None:
-        allocation = allocate_for(instance, strategy, seed, params)
+        allocation = allocate_for(instance, strategy, seed)
 
     attackers = instance.attackers
     defenders = instance.defenders
@@ -123,17 +122,18 @@ def run_simulation(
     if keep_trace:
         trace = [(0, "initial", config)]
 
-    # Failed-search regions stay valid as long as nobody moves, which is the
-    # norm once the field gridlocks; carrying them across identical phases
-    # turns the per-round cost of fully stuck agents into set lookups.
+    # Component labels left by failed searches stay valid as long as nobody
+    # moves, which is the norm once the field gridlocks; carrying them
+    # across identical phases turns the per-round cost of fully stuck agents
+    # into dict lookups.
     last_occupied: set[Cell] = set()
-    last_memo: list[set[int]] = []
+    last_labels: dict[int, int] = {}
 
     def phase(team_agents: list[AgentId], team: Team, round_no: int) -> Configuration:
-        nonlocal config, last_occupied, last_memo
+        nonlocal config, last_occupied, last_labels
         occupied = set(config.positions.values())
-        fail_memo = last_memo if occupied == last_occupied else []
-        last_occupied, last_memo = occupied, fail_memo
+        fail_memo = last_labels if occupied == last_occupied else {}
+        last_occupied, last_labels = occupied, fail_memo
         proposals: dict[AgentId, Cell] = {}
         for agent in team_agents:
             if agent in captured:
@@ -186,10 +186,10 @@ def run_simulation(
     )
 
 
-def timed_run(instance: Instance, strategy: str, seed: int, params=None) -> tuple[SimResult, float]:
+def timed_run(instance: Instance, strategy: str, seed: int) -> tuple[SimResult, float]:
     """run_simulation plus wall-clock milliseconds (for benchmark rows)."""
     t0 = time.perf_counter()
-    result = run_simulation(instance, strategy, seed, params=params)
+    result = run_simulation(instance, strategy, seed)
     return result, (time.perf_counter() - t0) * 1000.0
 
 

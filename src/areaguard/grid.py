@@ -206,14 +206,14 @@ def shortest_path(
 
 def find_path(
     grid: GridMap, src: Cell, dst: Cell, forbidden: Iterable[Cell] = ()
-) -> tuple[list[Cell] | None, set[int] | None]:
+) -> tuple[list[Cell] | None, list[int] | None]:
     """shortest_path variant that reports the searched region on failure.
 
     Returns (path, None) when a route exists. When the search exhausts
-    without reaching dst it returns (None, region) where region is the set
-    of cell indices reachable from src with forbidden treated as blocked;
-    src is included. When dst itself is forbidden no search runs and the
-    result is (None, None).
+    without reaching dst it returns (None, region) where region lists the
+    indices of the cells reachable from src with forbidden treated as
+    blocked, each once, src first. When dst itself is forbidden no search
+    runs and the result is (None, None).
     """
     if not grid.is_passable(src):
         raise ValueError(f"path source {src} is not passable")
@@ -254,7 +254,7 @@ def find_path(
                 return path, None
             push(v)
     # The queue holds exactly the claimed cells, src first.
-    return None, set(queue)
+    return None, queue
 
 
 def bfs_distance_table(world: World, src, forbidden: Iterable = ()) -> list[int]:

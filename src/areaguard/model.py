@@ -30,10 +30,6 @@ class Team(enum.IntEnum):
     ATTACKERS = 0
     DEFENDERS = 1
 
-    @property
-    def other(self) -> "Team":
-        return Team.DEFENDERS if self is Team.ATTACKERS else Team.ATTACKERS
-
 
 class AgentId(NamedTuple):
     team: Team

@@ -34,9 +34,8 @@ def next_move(
     nav: NavState,
     config: Configuration,
     grid: GridMap,
-    stall_replan_threshold: int = STALL_REPLAN_THRESHOLD,
     occupied: set[Cell] | None = None,
-    fail_memo: list[set[int]] | None = None,
+    fail_memo: dict[int, int] | None = None,
 ) -> tuple[Cell, NavState]:
     """Propose the agent's next cell and return its updated state.
 
@@ -49,9 +48,9 @@ def next_move(
     avoid rebuilding it per agent; it is read, never mutated. The agent's
     own cell may stay in it: plan heads are never the current cell and the
     path search ignores its source as an obstacle. Such callers may also
-    pass fail_memo, a list shared by all calls made against one occupied
-    snapshot; it accumulates failed-search regions so hopeless replans in a
-    crowded phase are answered without repeating the flood.
+    pass fail_memo, a component-label map shared by all calls made against
+    one occupied snapshot; failed searches label the cells they flood, so
+    hopeless replans in a crowded phase are answered without a flood.
     """
     here = config.positions[nav.agent]
     if nav.goal is None or here == nav.goal:
@@ -60,7 +59,7 @@ def next_move(
         return here, nav
 
     plan = nav.plan
-    forced = plan and nav.stalls >= stall_replan_threshold
+    forced = plan and nav.stalls >= STALL_REPLAN_THRESHOLD
     if forced:
         plan = ()
 
@@ -88,34 +87,33 @@ def _search_with_memo(
     src: Cell,
     dst: Cell,
     occupied: set[Cell],
-    memo: list[set[int]],
+    labels: dict[int, int],
 ) -> list[Cell] | None:
-    """Path search that reuses failed-search regions.
+    """Path search (src != dst) that skips floods its labels prove futile.
 
-    A failed search proves its whole flooded region is sealed off from
-    everything outside it. A later query against the same occupied snapshot
-    whose source lies in that region (or whose source cell is occupied but
-    walled in by it) can therefore only succeed if its destination is inside
-    too; when it is not, the flood is skipped. The answer is exactly what
-    the full search would return, just cheaper.
+    labels maps cell indices to component labels for one occupied snapshot.
+    A failed search floods its source plus whole components of free cells,
+    and every cell it reached gets the source's index as its label. So each
+    free component carries one label or none, and two free cells whose
+    labels differ (one of them may have none) are not connected. A route
+    (none exists to an occupied dst) leaves src through a free neighbor in
+    dst's component, so unless some free neighbor's label equals dst's
+    (both None included) the flood is skipped; that covers a source with no
+    free neighbor. The answer is exactly what the full search would return,
+    just cheaper.
     """
-    si = grid.index(src)
-    di = grid.index(dst)
-    nbrs: list[tuple[Cell, int]] | None = None
-    for region in memo:
-        if si not in region:
-            # An occupied source is boxed in by the region only if every
-            # passable neighbor is occupied or belongs to it.
-            if nbrs is None:
-                nbrs = [(nb, grid.index(nb)) for nb in grid.neighbors(src)]
-            if any(nb not in occupied and ni not in region for nb, ni in nbrs):
-                continue
-        if di in region:
+    w = grid.width
+    target = labels.get(grid.index(dst))
+    for ni in grid._nbr[grid.index(src)]:
+        if labels.get(ni) == target and (ni % w, ni // w) not in occupied:
             break
+    else:
         return None
     path, region = find_path(grid, src, dst, occupied)
-    if path is None and region is not None:
-        memo.append(region)
+    if region is not None:
+        label = region[0]
+        for i in region:
+            labels[i] = label
     return path
 
 

@@ -361,6 +361,9 @@ def map_spec_from_json(m: dict) -> MapSpec:
     kind = json_field(m, "kind", where)
     if kind not in MAP_KINDS:
         raise GenerationError(f"unknown map kind {kind!r}")
+    path = m.get("path")
+    if path is not None and not isinstance(path, str):
+        raise GenerationError(f"{where} 'path' must be a string, got {path!r}")
     return MapSpec(
         kind=kind,
         width=json_field(m, "width", where, int, 0),
@@ -370,7 +373,7 @@ def map_spec_from_json(m: dict) -> MapSpec:
         door_width=json_field(m, "door_width", where, int, 1),
         damage_rate=json_field(m, "damage_rate", where, float, 0.0),
         jitter=json_field(m, "jitter", where, int, 0),
-        path=m.get("path"),
+        path=path,
     )
 
 

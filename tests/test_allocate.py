@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from areaguard.allocate import (
-    BottleneckParams,
     allocate_bottleneck,
     allocate_for,
     allocate_greedy,
@@ -258,7 +257,7 @@ def test_confirm_bottleneck_rejects_unused_candidate():
 
 def test_allocate_bottleneck_blocks_the_door():
     inst = two_room_instance()
-    alloc = allocate_bottleneck(inst, BottleneckParams(rng_seed=9))
+    alloc = allocate_bottleneck(inst, 9)
     # Hand-run: routes pile on the door, vicinity finds it, the nearest
     # defender (d0) takes it, the second defender falls back to a target.
     assert alloc[0] == (3, 2)
@@ -283,7 +282,7 @@ def test_allocate_bottleneck_gives_up_when_bottleneck_too_wide():
         defender_starts=((5, 2),),
         time_limit=50,
     )
-    alloc = allocate_bottleneck(inst, BottleneckParams(rng_seed=4))
+    alloc = allocate_bottleneck(inst, 4)
     # The doorway needs two defenders but only one exists: fall back.
     assert alloc == {0: alloc[0]}
     assert alloc[0] in inst.attacker_targets
@@ -297,13 +296,13 @@ def test_allocate_bottleneck_no_defenders():
         defender_starts=(),
         time_limit=10,
     )
-    assert allocate_bottleneck(inst) == {}
+    assert allocate_bottleneck(inst, 0) == {}
 
 
 def test_allocate_bottleneck_deterministic():
     inst = two_room_instance()
-    a = allocate_bottleneck(inst, BottleneckParams(rng_seed=123))
-    b = allocate_bottleneck(inst, BottleneckParams(rng_seed=123))
+    a = allocate_bottleneck(inst, 123)
+    b = allocate_bottleneck(inst, 123)
     assert a == b
 
 
@@ -312,9 +311,7 @@ def test_allocate_for_dispatch():
     assert allocate_for(inst, "random", 3) == allocate_random(inst, 3)
     assert allocate_for(inst, "greedy", 0) == allocate_greedy(inst)
     assert allocate_for(inst, "strict-greedy", 0) == allocate_strict_greedy(inst)
-    assert allocate_for(inst, "bottleneck", 9) == allocate_bottleneck(
-        inst, BottleneckParams(rng_seed=9)
-    )
+    assert allocate_for(inst, "bottleneck", 9) == allocate_bottleneck(inst, 9)
     with pytest.raises(ValueError):
         allocate_for(inst, "psychic", 0)
 

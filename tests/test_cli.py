@@ -239,6 +239,11 @@ BAD_DOCUMENTS = [
     ("gen", {**SPEC_DOC, "map": 5}, "map spec must be a JSON object, got 5"),
     ("gen", {**SPEC_DOC, "map": [1, 2]}, "map spec must be a JSON object, got [1, 2]"),
     ("gen", {**SPEC_DOC, "map": {"a": 1}}, "map spec has no 'kind'"),
+    (
+        "gen",
+        {**SPEC_DOC, "map": {"kind": "file", "path": 5}},
+        "map spec 'path' must be a string, got 5",
+    ),
     ("gen", [SPEC_DOC], f"scenario spec must be a JSON object, got {[SPEC_DOC]!r}"),
     (
         "run",

@@ -1,9 +1,13 @@
 """Local-repair route planner."""
 from __future__ import annotations
 
+import random
+
+from areaguard import nav as nav_module
+from areaguard.grid import find_path
 from areaguard.model import Configuration, attacker, defender
-from areaguard.nav import NavState, next_move, observe_result
-from helpers import grid_from_rows
+from areaguard.nav import NavState, _search_with_memo, next_move, observe_result
+from helpers import grid_from_rows, random_grid
 
 
 def test_follows_shortest_plan_in_open_corridor():
@@ -98,3 +102,43 @@ def test_observe_result_clears_desynchronized_plan():
     out = observe_result(nav, (0, 1), (0, 0), (0, 1))
     assert out.plan == ()
     assert out.stalls == 0
+
+
+def test_search_with_memo_matches_a_full_search(monkeypatch):
+    # Sources sit on occupied cells, as the engine's agents do, and every
+    # query of one snapshot shares one label map.
+    searches = []
+
+    def counted_find_path(*args):
+        searches.append(args)
+        return find_path(*args)
+
+    monkeypatch.setattr(nav_module, "find_path", counted_find_path)
+    rng = random.Random(8128)
+    queries = skipped = boxed_in = relabelled = 0
+    for _ in range(150):
+        grid = random_grid(rng, rng.randrange(3, 11), rng.randrange(3, 11), rng.uniform(0.0, 0.35))
+        cells = list(grid.passable_cells())
+        if len(cells) < 3:
+            continue
+        occupied = set(rng.sample(cells, rng.randrange(1, int(len(cells) * 0.7) + 1)))
+        sources = sorted(occupied)
+        labels: dict[int, int] = {}
+        for _ in range(40):
+            src = rng.choice(sources)
+            dst = rng.choice([c for c in cells if c != src])
+            before = dict(labels)
+            searched = len(searches)
+            got = _search_with_memo(grid, src, dst, occupied, labels)
+            assert got == find_path(grid, src, dst, occupied)[0], (grid, src, dst, occupied)
+            queries += 1
+            skipped += len(searches) == searched
+            boxed_in += all(nb in occupied for nb in grid.neighbors(src))
+            relabelled += any(labels[i] != label for i, label in before.items())
+    # Exact answers alone do not show the memo works: labelling every
+    # failure alike, or letting occupied neighbours trigger searches, stays
+    # exact but skips fewer queries (about 1,960 and 1,470 of 6,000 here).
+    assert queries > 4000
+    assert skipped > queries * 3 // 8
+    assert boxed_in > 100
+    assert relabelled > 50
