@@ -219,7 +219,8 @@ GRAPH_INSTANCE = {
 }
 GRID_INSTANCE = {"time_limit": 3, "map": ["...."], "attackers": [{"start": [0, 0], "target": [3, 0]}]}
 
-# (subcommand, document, the error line after "error: ")
+# (subcommand, document, the error line after "error: "). A row's position
+# is part of its test id, so new rows go at the end.
 BAD_DOCUMENTS = [
     ("bench", _without(BENCH_DOC, "ratios"), "bench config has no 'ratios'"),
     ("bench", {**BENCH_DOC, "runs": None}, "bench config 'runs' must be an integer, got None"),
@@ -239,11 +240,6 @@ BAD_DOCUMENTS = [
     ("gen", {**SPEC_DOC, "map": 5}, "map spec must be a JSON object, got 5"),
     ("gen", {**SPEC_DOC, "map": [1, 2]}, "map spec must be a JSON object, got [1, 2]"),
     ("gen", {**SPEC_DOC, "map": {"a": 1}}, "map spec has no 'kind'"),
-    (
-        "gen",
-        {**SPEC_DOC, "map": {"kind": "file", "path": 5}},
-        "map spec 'path' must be a string, got 5",
-    ),
     ("gen", [SPEC_DOC], f"scenario spec must be a JSON object, got {[SPEC_DOC]!r}"),
     (
         "run",
@@ -261,6 +257,12 @@ BAD_DOCUMENTS = [
     ("run", {**GRID_INSTANCE, "map": bad},
      "instance 'map' must be a .map file path or a list of row strings")
     for bad in (5, [1, 2], {"a": 1})
+] + [
+    (
+        "gen",
+        {**SPEC_DOC, "map": {"kind": "file", "path": 5}},
+        "map spec 'path' must be a string, got 5",
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ from areaguard.grid import (
     bfs_distance_table,
     bfs_distances,
     dump_map,
+    find_path,
     nearest_target_path,
     obstacle_components,
     parse_map,
@@ -208,6 +209,59 @@ def test_path_is_simple_and_connected():
         for a, b in zip(path, path[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
             assert grid.is_passable(b)
+
+
+def _reference_search(grid, src, dst, forbidden):
+    """Plain breadth-first search: (path or None, set of cells reached from src)."""
+    parent = {src: None}
+    queue = [src]
+    for here in queue:
+        for nxt in grid.neighbors(here):
+            if nxt not in parent and nxt not in forbidden:
+                parent[nxt] = here
+                queue.append(nxt)
+    if dst in forbidden or dst not in parent:
+        return None, set(queue)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1], set(queue)
+
+
+def test_find_path_matches_a_breadth_first_oracle():
+    # find_path's bit-parallel search must return the breadth-first path,
+    # and on failure exactly the region reachable from src. Half the grids
+    # take turns between frozensets, whose bitmasks the grid remembers.
+    rng = random.Random(4242)
+    found = failed = 0
+    for trial in range(400):
+        grid = random_grid(rng, rng.randrange(1, 13), rng.randrange(1, 13), rng.uniform(0.0, 0.45))
+        cells = list(grid.passable_cells())
+        if not cells:
+            continue
+        snapshots = []
+        for _ in range(3):
+            forbidden = set(rng.sample(cells, rng.randrange(len(cells) + 1)))
+            if rng.random() < 0.2:
+                forbidden |= {(-1, 0), (grid.width, grid.height - 1)}
+            snapshots.append(frozenset(forbidden) if trial % 2 else forbidden)
+        for query in range(12):
+            forbidden = snapshots[query // 2 % 3]
+            src = rng.choice(sorted(forbidden & set(cells)) or cells)
+            dst = rng.choice(cells)
+            path, region = find_path(grid, src, dst, forbidden)
+            want, reached = _reference_search(grid, src, dst, forbidden - {src})
+            assert path == want, (grid, src, dst, forbidden)
+            if path is not None:
+                found += 1
+                assert region is None
+            elif dst in forbidden and dst != src:
+                assert region is None
+            else:
+                failed += 1
+                assert region[0] == grid.index(src) and len(region) == len(set(region))
+                assert {grid.cell(i) for i in region} == reached
+    assert found > 1000 and failed > 500
 
 
 def test_obstacle_components_diagonal_touch():
