@@ -125,23 +125,22 @@ def run_simulation(
     # Component labels left by failed searches stay valid as long as nobody
     # moves, which is the norm once the field gridlocks; carrying them
     # across identical phases turns the per-round cost of fully stuck agents
-    # into dict lookups. Keeping the same frozenset object too lets the
-    # path searches reuse its bitmask (see grid.find_path).
-    last_occupied: frozenset[Cell] = frozenset()
+    # into dict lookups.
+    last_occupied: set[Cell] = set()
     last_labels: dict[int, int] = {}
 
     def phase(team_agents: list[AgentId], team: Team, round_no: int) -> Configuration:
         nonlocal config, last_occupied, last_labels
-        occupied = frozenset(config.positions.values())
-        if occupied != last_occupied:
-            last_occupied, last_labels = occupied, {}
+        occupied = set(config.positions.values())
+        fail_memo = last_labels if occupied == last_occupied else {}
+        last_occupied, last_labels = occupied, fail_memo
         proposals: dict[AgentId, Cell] = {}
         for agent in team_agents:
             if agent in captured:
                 proposals[agent] = config.positions[agent]
                 continue
             desired, navs[agent] = next_move(
-                navs[agent], config, grid, occupied=last_occupied, fail_memo=last_labels
+                navs[agent], config, grid, occupied=occupied, fail_memo=fail_memo
             )
             proposals[agent] = desired
         after = apply_team_move(grid, config, TeamMove(team, proposals))

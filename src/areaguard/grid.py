@@ -12,7 +12,6 @@ same integer interface: index(node), cell(i) and the neighbor-index table.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -23,11 +22,6 @@ Cell = tuple[int, int]
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
 
-# One 0/1 byte per cell <-> one binary digit per cell, to pack and unpack
-# the bitmasks find_path searches with.
-_BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
-_DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\0\1")
-
 
 class MapFormatError(ValueError):
     """Raised when .map text does not follow the expected layout."""
@@ -36,12 +30,11 @@ class MapFormatError(ValueError):
 class GridMap:
     """Immutable rectangular grid with a set of blocked cells.
 
-    A flat neighbor table and cell bitmasks are precomputed per instance so
-    searches run on integer indices. Treat all attributes as read-only; the
-    one exception is _frozen, where find_path caches a bitmask.
+    A flat neighbor table is precomputed per instance so breadth-first
+    searches run on integer indices. Treat all attributes as read-only.
     """
 
-    __slots__ = ("width", "height", "blocked", "_nbr", "_passable", "_bits", "_frozen")
+    __slots__ = ("width", "height", "blocked", "_nbr", "_passable")
 
     def __init__(self, width: int, height: int, blocked: Iterable[Cell] = ()):
         if width < 1 or height < 1:
@@ -76,16 +69,6 @@ class GridMap:
             nbr.append(tuple(out))
         self._nbr = nbr
         self._passable = passable
-        # Bit i stands for cell i. find_path moves sets of cells by shifting:
-        # a row north or south, a bit west or east, where a westward step must
-        # not land in the last column nor an eastward one in the first.
-        west_ok = bytearray(passable)
-        west_ok[width - 1 :: width] = bytes(height)
-        east_ok = bytearray(passable)
-        east_ok[::width] = bytes(height)
-        masks = (passable, west_ok, east_ok)
-        self._bits = tuple(int(m[::-1].translate(_BYTE_TO_DIGIT), 2) for m in masks)
-        self._frozen = (None, 0)
 
     def in_bounds(self, c: Cell) -> bool:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height
@@ -226,19 +209,11 @@ def find_path(
 ) -> tuple[list[Cell] | None, list[int] | None]:
     """shortest_path variant that reports the searched region on failure.
 
-    Returns (path, None) when a route exists. When none does it returns
-    (None, region) where region lists the indices of the cells reachable
-    from src with forbidden treated as blocked, each once, src first. When
-    dst itself is forbidden no search runs and the result is (None, None).
-
-    The search is bit-parallel, one int bit per cell. Layers of the cells
-    0, 1, 2, ... steps from dst grow until one reaches src. A flood from src
-    grows alongside until it meets them, whenever its frontier is at most a
-    quarter of theirs or dst's side is exhausted, so a pocketed src fails
-    fast and a failed flood is exactly src's region. The path then steps
-    from src to the first neighbor, in N, S, W, E order, in the next layer
-    toward dst. That is the path a breadth-first search from src returns:
-    the first shortest path in that order.
+    Returns (path, None) when a route exists. When the search exhausts
+    without reaching dst it returns (None, region) where region lists the
+    indices of the cells reachable from src with forbidden treated as
+    blocked, each once, src first. When dst itself is forbidden no search
+    runs and the result is (None, None).
     """
     if not grid.is_passable(src):
         raise ValueError(f"path source {src} is not passable")
@@ -251,63 +226,35 @@ def find_path(
     if dst in forbidden:
         return None, None
     w = grid.width
-    _, west_ok, east_ok = grid._bits
+    h = grid.height
     si = src[0] + src[1] * w
-    src_bit = 1 << si
-    free = _free_bits(grid, forbidden) & ~src_bit
-    layer = seen = 1 << (dst[0] + dst[1] * w)
-    layers = [layer]
-    unseen = free ^ layer | src_bit
-    front = reached = src_bit
-    unreached = free
-    front_size = layer_size = 1
-    # Each step takes a set's 4-neighbors: shifts by a row and by a column.
-    while True:
-        if not reached & seen and (not layer or 4 * front_size <= layer_size):
-            front = ((front >> w) | (front << w) | (front >> 1 & west_ok) | (front << 1 & east_ok)) & unreached
-            if not front:
-                flags = bin(reached ^ src_bit)[:1:-1].encode().translate(_DIGIT_TO_BYTE)
-                return None, [si, *compress(range(len(flags)), flags)]
-            unreached ^= front
-            reached |= front
-            front_size = front.bit_count()
-        else:
-            layer = ((layer >> w) | (layer << w) | (layer >> 1 & west_ok) | (layer << 1 & east_ok)) & unseen
-            if layer & src_bit:
-                break
-            unseen ^= layer
-            seen |= layer
-            layers.append(layer)
-            layer_size = layer.bit_count()
-    nbr = grid._nbr
-    path = [src]
-    here = si
-    for layer in reversed(layers):
-        for here in nbr[here]:
-            if layer >> here & 1:
-                break
-        path.append((here % w, here // w))
-    return path, None
-
-
-def _free_bits(grid: GridMap, forbidden: Iterable[Cell]) -> int:
-    """Bitmask of the passable cells not in forbidden.
-
-    The mask for the last frozenset is kept on the grid, so the searches of
-    an engine phase, which share one frozen occupied set, pack it once.
-    """
-    if grid._frozen[0] is forbidden:
-        return grid._frozen[1]
-    w, h = grid.width, grid.height
-    marks = bytearray((w * h + 7) // 8)
+    di = dst[0] + dst[1] * w
+    # parent values: -3 forbidden, -2 unvisited, -1 search root, >=0 parent index.
+    parent = [-2] * (w * h)
     for x, y in forbidden:
         if 0 <= x < w and 0 <= y < h:
-            i = x + y * w
-            marks[i >> 3] |= 1 << (i & 7)
-    free = grid._bits[0] & ~int.from_bytes(marks, "little")
-    if isinstance(forbidden, frozenset):
-        grid._frozen = (forbidden, free)
-    return free
+            parent[x + y * w] = -3
+    parent[si] = -1
+    queue = [si]
+    nbr = grid._nbr
+    push = queue.append
+    # Iterating the list while appending to it visits cells in FIFO order.
+    for u in queue:
+        for v in nbr[u]:
+            if parent[v] != -2:
+                continue
+            parent[v] = u
+            if v == di:
+                path = []
+                cur = v
+                while cur != -1:
+                    path.append((cur % w, cur // w))
+                    cur = parent[cur]
+                path.reverse()
+                return path, None
+            push(v)
+    # The queue holds exactly the claimed cells, src first.
+    return None, queue
 
 
 def bfs_distance_table(world: World, src, forbidden: Iterable = ()) -> list[int]:

@@ -12,7 +12,6 @@ simply holds its cell.
 """
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
 
 from areaguard.grid import Cell, GridMap, find_path, shortest_path
@@ -35,7 +34,7 @@ def next_move(
     nav: NavState,
     config: Configuration,
     grid: GridMap,
-    occupied: Set[Cell] | None = None,
+    occupied: set[Cell] | None = None,
     fail_memo: dict[int, int] | None = None,
 ) -> tuple[Cell, NavState]:
     """Propose the agent's next cell and return its updated state.
@@ -46,10 +45,9 @@ def next_move(
     stall counter; denied moves are counted later by observe_result.
 
     Callers stepping a whole team may pass the phase's occupied-cell set to
-    avoid rebuilding it per agent; it is read, never mutated, and a frozenset
-    is packed into a bitmask once for all searches. The agent's own cell may
-    stay in it: plan heads are never the current cell and the path search
-    ignores its source as an obstacle. Such callers may also
+    avoid rebuilding it per agent; it is read, never mutated. The agent's
+    own cell may stay in it: plan heads are never the current cell and the
+    path search ignores its source as an obstacle. Such callers may also
     pass fail_memo, a component-label map shared by all calls made against
     one occupied snapshot; failed searches label the cells they flood, so
     hopeless replans in a crowded phase are answered without a flood.
@@ -88,7 +86,7 @@ def _search_with_memo(
     grid: GridMap,
     src: Cell,
     dst: Cell,
-    occupied: Set[Cell],
+    occupied: set[Cell],
     labels: dict[int, int],
 ) -> list[Cell] | None:
     """Path search (src != dst) that skips floods its labels prove futile.
