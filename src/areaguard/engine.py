@@ -25,7 +25,7 @@ from areaguard.model import (
     audit_team_step,
     validate_instance,
 )
-from areaguard.nav import NavState, next_move, observe_result
+from areaguard.nav import NavState, SnapshotMemo, next_move, observe_result
 
 
 @dataclass(frozen=True)
@@ -122,25 +122,25 @@ def run_simulation(
     if keep_trace:
         trace = [(0, "initial", config)]
 
-    # Component labels left by failed searches stay valid as long as nobody
-    # moves, which is the norm once the field gridlocks; carrying them
-    # across identical phases turns the per-round cost of fully stuck agents
-    # into dict lookups.
+    # The free-cell mask and the component labels left by failed searches
+    # stay valid as long as nobody moves, which is the norm once the field
+    # gridlocks; carrying them across identical phases turns the per-round
+    # cost of fully stuck agents into dict lookups.
     last_occupied: set[Cell] = set()
-    last_labels: dict[int, int] = {}
+    last_memo = SnapshotMemo()
 
     def phase(team_agents: list[AgentId], team: Team, round_no: int) -> Configuration:
-        nonlocal config, last_occupied, last_labels
+        nonlocal config, last_occupied, last_memo
         occupied = set(config.positions.values())
-        fail_memo = last_labels if occupied == last_occupied else {}
-        last_occupied, last_labels = occupied, fail_memo
+        memo = last_memo if occupied == last_occupied else SnapshotMemo()
+        last_occupied, last_memo = occupied, memo
         proposals: dict[AgentId, Cell] = {}
         for agent in team_agents:
             if agent in captured:
                 proposals[agent] = config.positions[agent]
                 continue
             desired, navs[agent] = next_move(
-                navs[agent], config, grid, occupied=occupied, fail_memo=fail_memo
+                navs[agent], config, grid, occupied=occupied, memo=memo
             )
             proposals[agent] = desired
         after = apply_team_move(grid, config, TeamMove(team, proposals))

@@ -22,6 +22,16 @@ Cell = tuple[int, int]
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
 
+# Bits of search layers one find_path call may hold, 64 KiB; find_path says why.
+BIT_BUDGET = 1 << 19
+
+_BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(flags: bytes | bytearray) -> int:
+    """Bitmask with bit i set where flags[i] is 1 (flags holds only 0s and 1s)."""
+    return int(flags[::-1].translate(_BYTE_TO_DIGIT), 2)
+
 
 class MapFormatError(ValueError):
     """Raised when .map text does not follow the expected layout."""
@@ -31,10 +41,15 @@ class GridMap:
     """Immutable rectangular grid with a set of blocked cells.
 
     A flat neighbor table is precomputed per instance so breadth-first
-    searches run on integer indices. Treat all attributes as read-only.
+    searches run on integer indices, and so are three cell bitmasks for
+    find_path, bit i standing for cell i: the passable cells, the ones a
+    west step may land on (not in the last column, which a one-bit shift
+    would wrap into) and the ones an east step may land on (not in the
+    first column). Nothing is cached on the grid after construction; treat
+    all attributes as read-only.
     """
 
-    __slots__ = ("width", "height", "blocked", "_nbr", "_passable")
+    __slots__ = ("width", "height", "blocked", "_nbr", "_passable", "_bits", "_west", "_east")
 
     def __init__(self, width: int, height: int, blocked: Iterable[Cell] = ()):
         if width < 1 or height < 1:
@@ -69,6 +84,13 @@ class GridMap:
             nbr.append(tuple(out))
         self._nbr = nbr
         self._passable = passable
+        west = bytearray(passable)
+        west[width - 1 :: width] = bytes(height)
+        east = bytearray(passable)
+        east[::width] = bytes(height)
+        self._bits = _pack(passable)
+        self._west = _pack(west)
+        self._east = _pack(east)
 
     def in_bounds(self, c: Cell) -> bool:
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height
@@ -205,7 +227,11 @@ def shortest_path(
 
 
 def find_path(
-    grid: GridMap, src: Cell, dst: Cell, forbidden: Iterable[Cell] = ()
+    grid: GridMap,
+    src: Cell,
+    dst: Cell,
+    forbidden: Iterable[Cell] = (),
+    free: int | None = None,
 ) -> tuple[list[Cell] | None, list[int] | None]:
     """shortest_path variant that reports the searched region on failure.
 
@@ -213,7 +239,32 @@ def find_path(
     without reaching dst it returns (None, region) where region lists the
     indices of the cells reachable from src with forbidden treated as
     blocked, each once, src first. When dst itself is forbidden no search
-    runs and the result is (None, None).
+    runs and the result is (None, None). free, if given, must be
+    free_mask(grid, forbidden); callers that search many times against one
+    forbidden set pack it once and pass it in.
+
+    The search first grows the cells 1, 2, 3, ... steps from dst as
+    bitmasks, one int bit per cell: layer k+1 is the free 4-neighbors of
+    layer k that no earlier layer holds (in an undirected graph, those
+    outside layers k and k-1), and a neighbor set is four shifts, a row
+    north or south and a bit west or east. Once src touches the newest
+    layer, the path steps from src to its first N, S, W, E neighbor in each
+    earlier layer in turn. That is the first shortest path in N<S<W<E move
+    order, the one the list breadth-first search from src returns.
+
+    The walk needs every layer, and each is an int as wide as the map, so a
+    search grows at most BIT_BUDGET // (width*height) layers: 270 on a
+    44x44 map, 128 on 64x64, 2 on 512x512, none past 2**19 cells. A search
+    that reaches that bound, or whose layers run out because dst's side
+    holds no route, hands over to the list breadth-first search from src,
+    which also yields the failed region, and the bitmasks are dropped
+    before it starts. When src and dst are more steps apart on the bare
+    grid (Manhattan distance) than that bound, the layers are skipped. So
+    the kept layers never exceed 64 KiB, and the time they take is bounded
+    on any map. The budget is that size because nearly every replan on
+    the paper's 44-64 cell wide maps fits in it, while it stays below the
+    list search's own parent table, 8 bytes a cell, on any map of more
+    than 8,192 cells.
     """
     if not grid.is_passable(src):
         raise ValueError(f"path source {src} is not passable")
@@ -225,6 +276,65 @@ def find_path(
         forbidden = tuple(forbidden)
     if dst in forbidden:
         return None, None
+    max_layers = BIT_BUDGET // len(grid._nbr)
+    # No route is shorter than the Manhattan distance.
+    if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) <= max_layers:
+        # A mask packed here is dropped before any flood.
+        if free is None:
+            free = free_mask(grid, forbidden)
+        path = _layered_path(grid, src, dst, free, max_layers)
+        del free
+        if path is not None:
+            return path, None
+    return _flood(grid, src, dst, forbidden)
+
+
+def free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
+    """Bitmask of grid's passable cells not in forbidden (bit i is cell i)."""
+    if not forbidden:
+        return grid._bits
+    w, h = grid.width, grid.height
+    marks = bytearray((w * h + 7) >> 3)
+    for x, y in forbidden:
+        if 0 <= x < w and 0 <= y < h:
+            i = x + y * w
+            marks[i >> 3] |= 1 << (i & 7)
+    return grid._bits & ~int.from_bytes(marks, "little")
+
+
+def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: int) -> list[Cell] | None:
+    """find_path's bitmask search: the path, or None past max_layers or without a route."""
+    w = grid.width
+    west = grid._west
+    east = grid._east
+    src_bit = 1 << (src[0] + src[1] * w)
+    layer = 1 << (dst[0] + dst[1] * w)
+    unseen = free & ~layer
+    layers = []
+    for _ in range(max_layers):
+        layers.append(layer)
+        near = (layer >> w) | (layer << w) | (layer >> 1 & west) | (layer << 1 & east)
+        if near & src_bit:
+            nbr = grid._nbr
+            path = [src]
+            here = src[0] + src[1] * w
+            for layer in reversed(layers):
+                for here in nbr[here]:
+                    if layer >> here & 1:
+                        break
+                path.append((here % w, here // w))
+            return path
+        layer = near & unseen
+        if not layer:
+            return None
+        unseen ^= layer
+    return None
+
+
+def _flood(
+    grid: GridMap, src: Cell, dst: Cell, forbidden: Iterable[Cell]
+) -> tuple[list[Cell] | None, list[int] | None]:
+    """find_path's list breadth-first search from src; takes the same checked arguments."""
     w = grid.width
     h = grid.height
     si = src[0] + src[1] * w

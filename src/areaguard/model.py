@@ -237,7 +237,7 @@ def apply_team_move(world: World, config: Configuration, move: TeamMove) -> Conf
             continue
         if not world.is_passable(want):
             raise ValueError(f"{agent.label} proposes impassable cell {want!r}")
-        if want not in world.neighbors(here):
+        if world.index(want) not in world._nbr[world.index(here)]:
             raise ValueError(f"{agent.label} proposes non-adjacent cell {want!r} from {here!r}")
 
     frozen_cells = {c for a, c in pos.items() if a.team is not move.team}

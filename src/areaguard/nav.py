@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from areaguard.grid import Cell, GridMap, find_path, shortest_path
+from areaguard.grid import Cell, GridMap, find_path, free_mask, shortest_path
 from areaguard.model import AgentId, Configuration
 
 STALL_REPLAN_THRESHOLD = 3
@@ -30,12 +30,27 @@ class NavState:
     stalls: int = 0
 
 
+class SnapshotMemo:
+    """What the replans against one occupied snapshot share.
+
+    labels maps cell indices to the component labels that failed searches
+    leave (see _search_with_memo); free is the snapshot's free-cell mask
+    for grid.find_path, packed by the first search that needs it.
+    """
+
+    __slots__ = ("labels", "free")
+
+    def __init__(self) -> None:
+        self.labels: dict[int, int] = {}
+        self.free: int | None = None
+
+
 def next_move(
     nav: NavState,
     config: Configuration,
     grid: GridMap,
     occupied: set[Cell] | None = None,
-    fail_memo: dict[int, int] | None = None,
+    memo: SnapshotMemo | None = None,
 ) -> tuple[Cell, NavState]:
     """Propose the agent's next cell and return its updated state.
 
@@ -48,8 +63,9 @@ def next_move(
     avoid rebuilding it per agent; it is read, never mutated. The agent's
     own cell may stay in it: plan heads are never the current cell and the
     path search ignores its source as an obstacle. Such callers may also
-    pass fail_memo, a component-label map shared by all calls made against
-    one occupied snapshot; failed searches label the cells they flood, so
+    pass memo, one SnapshotMemo shared by all calls made against one
+    occupied snapshot: the snapshot's free-cell mask is packed once for all
+    its searches, and failed searches label the cells they flood, so
     hopeless replans in a crowded phase are answered without a flood.
     """
     here = config.positions[nav.agent]
@@ -71,10 +87,10 @@ def next_move(
             return plan[0], nav
         return plan[0], NavState(nav.agent, nav.goal, plan, nav.stalls)
 
-    if fail_memo is None:
+    if memo is None:
         path = shortest_path(grid, here, nav.goal, forbidden=occupied)
     else:
-        path = _search_with_memo(grid, here, nav.goal, occupied, fail_memo)
+        path = _search_with_memo(grid, here, nav.goal, occupied, memo)
     if path is None:
         # Keep whatever plan we had; the blocker may move next step.
         return here, NavState(nav.agent, nav.goal, nav.plan, nav.stalls + 1)
@@ -87,21 +103,24 @@ def _search_with_memo(
     src: Cell,
     dst: Cell,
     occupied: set[Cell],
-    labels: dict[int, int],
+    memo: SnapshotMemo,
 ) -> list[Cell] | None:
     """Path search (src != dst) that skips floods its labels prove futile.
 
-    labels maps cell indices to component labels for one occupied snapshot.
-    A failed search floods its source plus whole components of free cells,
-    and every cell it reached gets the source's index as its label. So each
-    free component carries one label or none, and two free cells whose
-    labels differ (one of them may have none) are not connected. A route
-    (none exists to an occupied dst) leaves src through a free neighbor in
-    dst's component, so unless some free neighbor's label equals dst's
-    (both None included) the flood is skipped; that covers a source with no
-    free neighbor. The answer is exactly what the full search would return,
-    just cheaper.
+    An occupied dst has no route and is answered at once. memo.labels maps
+    cell indices to component labels for one occupied snapshot. A failed
+    search floods its source plus whole components of free cells, and every
+    cell it reached gets the source's index as its label. So each free
+    component carries one label or none, and two free cells whose labels
+    differ (one of them may have none) are not connected. A route leaves
+    src through a free neighbor in dst's component, so unless some free
+    neighbor's label equals dst's (both None included) the flood is
+    skipped; that covers a source with no free neighbor. The answer is
+    exactly what the full search would return, just cheaper.
     """
+    if dst in occupied:
+        return None
+    labels = memo.labels
     w = grid.width
     target = labels.get(grid.index(dst))
     for ni in grid._nbr[grid.index(src)]:
@@ -109,7 +128,9 @@ def _search_with_memo(
             break
     else:
         return None
-    path, region = find_path(grid, src, dst, occupied)
+    if memo.free is None:
+        memo.free = free_mask(grid, occupied)
+    path, region = find_path(grid, src, dst, occupied, memo.free)
     if region is not None:
         label = region[0]
         for i in region:

@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
+from areaguard import grid as grid_module
 from areaguard.grid import (
+    BIT_BUDGET,
     GridMap,
     MapFormatError,
     bfs_distance_table,
     bfs_distances,
     dump_map,
     find_path,
+    free_mask,
     nearest_target_path,
     obstacle_components,
     parse_map,
@@ -272,6 +276,140 @@ def test_find_path_is_the_lexicographically_first_shortest_path():
                 assert region[0] == grid.index(src) and len(region) == len(set(region))
                 assert {grid.cell(i) for i in region} == reached
     assert found > 1000 and failed > 500
+
+
+def _serpentine(size):
+    """size x size map whose even rows form one corridor, entered at (0, 0).
+
+    Every odd row is a wall with one gap, at its east end and at its west
+    end in turn, so the corridor snakes down the whole map.
+    """
+    blocked = []
+    for y in range(1, size, 2):
+        gap = size - 1 if y % 4 == 1 else 0
+        blocked += [(x, y) for x in range(size) if x != gap]
+    return GridMap(size, size, blocked)
+
+
+def _corridor_cells(size):
+    """The serpentine's corridor from (0, 0), in walking order."""
+    cells = []
+    for y in range(0, size, 2):
+        row = [(x, y) for x in range(size)]
+        cells += row if y % 4 == 0 else row[::-1]
+        if y + 1 < size:
+            cells.append((size - 1 if y % 4 == 0 else 0, y + 1))
+    return cells
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_find_path_past_the_bit_budget_hands_over_to_the_flood(monkeypatch, size):
+    # A search holds at most 128 layers on 64x64 and 32 on 128x128, far
+    # fewer than the serpentine's length, so long routes and failures fall
+    # back to the list search while shorter routes never reach it. Targets
+    # farther than that on the bare grid skip the layers.
+    grid = _serpentine(size)
+    corridor = _corridor_cells(size)
+    max_layers = BIT_BUDGET // (size * size)
+    assert max_layers == (1 << 19) // (size * size) and size * size * len(corridor) > BIT_BUDGET
+    src = corridor[0]
+    calls = {"_flood": [], "_layered_path": []}
+
+    def counted(name):
+        search = getattr(grid_module, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return search(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grid_module, name, counted(name))
+    for steps in (1, max_layers // 2, *range(max_layers - 1, max_layers + 3), 700, len(corridor) - 1):
+        dst = corridor[steps]
+        floods, layered = len(calls["_flood"]), len(calls["_layered_path"])
+        path, region = find_path(grid, src, dst)
+        assert path == _lex_min_path(grid, src, dst, set())[0] == corridor[: steps + 1]
+        assert region is None
+        assert len(calls["_flood"]) - floods == (steps > max_layers)
+        manhattan = abs(dst[0] - src[0]) + abs(dst[1] - src[1])
+        assert len(calls["_layered_path"]) - layered == (manhattan <= max_layers)
+    # The bare-grid bound skips the layers of some searches on 128x128 only.
+    assert (len(calls["_layered_path"]) < 8) == (size == 128)
+
+    # One forbidden corridor cell cuts the route: the region is exactly
+    # what src still reaches, src first.
+    for cut, src, dst in ((50, 10, -1), (50, 60, 0), (900, 899, -1), (900, 1500, 0)):
+        src, dst = corridor[src], corridor[dst]
+        forbidden = {corridor[cut]}
+        path, region = find_path(grid, src, dst, forbidden)
+        want, reached = _lex_min_path(grid, src, dst, forbidden)
+        assert path is None and want is None
+        assert region[0] == grid.index(src) and len(region) == len(set(region))
+        assert {grid.cell(i) for i in region} == reached
+        assert reached == (set(corridor[:cut]) if src in corridor[:cut] else set(corridor[cut + 1 :]))
+
+
+def test_find_path_gives_the_same_answer_with_a_caller_packed_mask():
+    rng = random.Random(2718)
+    found = failed = 0
+    for _ in range(200):
+        grid = random_grid(rng, rng.randrange(1, 16), rng.randrange(1, 16), rng.uniform(0.0, 0.4))
+        cells = list(grid.passable_cells())
+        if not cells:
+            continue
+        forbidden = set(rng.sample(cells, rng.randrange(len(cells) + 1)))
+        free = free_mask(grid, forbidden)
+        assert free == sum(1 << grid.index(c) for c in cells if c not in forbidden)
+        for _ in range(10):
+            src = rng.choice(sorted(forbidden) or cells)
+            dst = rng.choice(cells)
+            got = find_path(grid, src, dst, forbidden, free)
+            assert got == find_path(grid, src, dst, forbidden), (grid, src, dst, forbidden)
+            found += got[0] is not None
+            failed += got[1] is not None
+    assert found > 300 and failed > 300
+
+
+def _peak_bytes(search):
+    tracemalloc.start()
+    try:
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.slow
+def test_find_path_on_512x512_maps_matches_the_flood_within_the_bit_budget():
+    # On 512x512 a search grows two layers before it floods. Its answers
+    # are the flood's, and its memory peak exceeds the flood's by at most
+    # the layers' budget, 2**19 bits (written out, so that a larger
+    # BIT_BUDGET does not widen the bound).
+    corridor = _corridor_cells(512)
+    serpentine = _serpentine(512)
+    assert find_path(serpentine, corridor[0], corridor[-1]) == (corridor, None)
+    rng = random.Random(512)
+    walls = random_grid(rng, 512, 512, 0.25)
+    queries = [(serpentine, corridor[0], corridor[-1], set())]
+    src = (256, 256)
+    while not walls.is_passable(src):
+        src = (src[0] + 1, src[1])
+    # Targets as far down the map as their distance allows, so every layer
+    # grown from them is map-wide.
+    table = bfs_distance_table(walls, src)[::-1]
+    for steps in (1, 2, 3, 40, 330):
+        dst = walls.cell(len(table) - 1 - table.index(steps))
+        queries.append((walls, src, dst, set()))
+    cells = list(walls.passable_cells())
+    queries.append((walls, src, dst, set(rng.sample(cells, 20000))))
+    for grid, src, dst, forbidden in queries:
+        want = grid_module._flood(grid, src, dst, forbidden)
+        assert find_path(grid, src, dst, forbidden) == want
+        flood_peak = _peak_bytes(lambda: grid_module._flood(grid, src, dst, forbidden))
+        search_peak = _peak_bytes(lambda: find_path(grid, src, dst, forbidden))
+        assert search_peak <= flood_peak + (1 << 19) // 8, (src, dst, search_peak, flood_peak)
 
 
 def test_obstacle_components_diagonal_touch():

@@ -125,8 +125,14 @@ def test_move_proposal_contract_errors():
         apply_team_move(grid, cfg, att_move(cfg, a0=(0, 1)))  # out of bounds
     diag = Configuration({attacker(0): (0, 0)})
     grid2 = grid_from_rows(["..", ".."])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a0 proposes non-adjacent cell \(1, 1\) from \(0, 0\)"):
         apply_team_move(grid2, diag, TeamMove(Team.ATTACKERS, {attacker(0): (1, 1)}))
+    graph = AdjacencyGraph.from_edges(list("uvw"), [("u", "v"), ("v", "w")])
+    on_u = Configuration({attacker(0): "u"})
+    with pytest.raises(ValueError, match="a0 proposes non-adjacent cell 'w' from 'u'"):
+        apply_team_move(graph, on_u, TeamMove(Team.ATTACKERS, {attacker(0): "w"}))
+    moved = apply_team_move(graph, on_u, TeamMove(Team.ATTACKERS, {attacker(0): "v"}))
+    assert moved.positions == {attacker(0): "v"}
 
 
 def test_defender_phase_moves_only_defenders():
