@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 from areaguard.allocate import STRATEGIES
 from areaguard.engine import Metrics, run_simulation, timed_run
-from areaguard.model import json_field
+from areaguard.model import json_field, reject_unknown_keys
 from areaguard.scenarios import (
+    RECT_KEYS,
     GenerationError,
     MapSpec,
     Rect,
@@ -35,6 +36,9 @@ RUN_HEADER = (
 )
 AGGREGATE_HEADER = "map,ratio,placement,strategy,runs,mean_captured,min,max,stddev"
 TIMESERIES_STEP_HEADER = "step"
+_CONFIG_KEYS = (
+    "master_seed", "attackers", "time_limit", "runs", "ratios", "placements", "strategies", "maps"
+)
 
 
 def _digest_seed(text: str) -> int:
@@ -93,12 +97,13 @@ def config_from_json(doc: dict) -> BenchConfig:
         maps.append(
             BenchMap(
                 name=json_field(entry, "name", at),
-                map_spec=map_spec_from_json(json_field(entry, "map", at)),
+                map_spec=map_spec_from_json(json_field(entry, "map", at), f"{at} 'map'"),
                 attacker_rect=_rect_from_json(entry, "attacker_rect", at),
                 defender_rect=_rect_from_json(entry, "defender_rect", at),
                 target_rect=_rect_from_json(entry, "target_rect", at),
             )
         )
+        reject_unknown_keys(entry, ("name", "map", *RECT_KEYS), at)
     ratios = json_field(doc, "ratios", where, tuple)
     for ratio in ratios:
         parse_ratio(ratio)
@@ -119,6 +124,7 @@ def config_from_json(doc: dict) -> BenchConfig:
     )
     if config.attackers < 1 or config.runs < 1 or config.time_limit < 1:
         raise ValueError("attackers, runs and time_limit must all be positive")
+    reject_unknown_keys(doc, _CONFIG_KEYS, where)
     return config
 
 

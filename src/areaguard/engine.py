@@ -122,10 +122,10 @@ def run_simulation(
     if keep_trace:
         trace = [(0, "initial", config)]
 
-    # The free-cell mask and the component labels left by failed searches
-    # stay valid as long as nobody moves, which is the norm once the field
-    # gridlocks; carrying them across identical phases turns the per-round
-    # cost of fully stuck agents into dict lookups.
+    # The free-cell mask and the cuts left by failed searches stay valid as
+    # long as nobody moves, which is the norm once the field gridlocks;
+    # carrying them across identical phases turns the per-round cost of
+    # fully stuck agents into a few mask tests.
     last_occupied: set[Cell] = set()
     last_memo = SnapshotMemo()
 

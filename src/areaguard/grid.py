@@ -232,16 +232,24 @@ def find_path(
     dst: Cell,
     forbidden: Iterable[Cell] = (),
     free: int | None = None,
+    keep_cut: Callable[[int], object] | None = None,
 ) -> tuple[list[Cell] | None, list[int] | None]:
-    """shortest_path variant that reports the searched region on failure.
+    """shortest_path variant for callers that search many times.
 
-    Returns (path, None) when a route exists. When the search exhausts
-    without reaching dst it returns (None, region) where region lists the
-    indices of the cells reachable from src with forbidden treated as
-    blocked, each once, src first. When dst itself is forbidden no search
-    runs and the result is (None, None). free, if given, must be
-    free_mask(grid, forbidden); callers that search many times against one
-    forbidden set pack it once and pass it in.
+    Returns (path, None) when a route exists and (None, None) when dst
+    itself is forbidden or the bitmask layers (below) prove there is no
+    route. When the list breadth-first search from src finds no route it
+    returns (None, region) where region lists the indices of the cells
+    reachable from src with forbidden treated as blocked, each once, src
+    first. free, if given, must be free_mask(grid, forbidden); callers that
+    search many times against one forbidden set pack it once and pass it in.
+
+    keep_cut, if given, is called once on every failure with dst free, with
+    a cut: the bitmask of a union of whole free components (passable cells
+    not in forbidden) that holds dst and no free neighbor of src, or every
+    free neighbor of src and not dst. Either way no route can cross it, so
+    a caller may keep cuts to answer later searches against the same
+    forbidden set without running them.
 
     The search first grows the cells 1, 2, 3, ... steps from dst as
     bitmasks, one int bit per cell: layer k+1 is the free 4-neighbors of
@@ -250,21 +258,23 @@ def find_path(
     north or south and a bit west or east. Once src touches the newest
     layer, the path steps from src to its first N, S, W, E neighbor in each
     earlier layer in turn. That is the first shortest path in N<S<W<E move
-    order, the one the list breadth-first search from src returns.
+    order, the one the list breadth-first search from src returns. When a
+    layer comes out empty before src is touched, the layers hold all of
+    dst's free component, which src does not touch: the search fails there,
+    and that component is its cut.
 
     The walk needs every layer, and each is an int as wide as the map, so a
     search grows at most BIT_BUDGET // (width*height) layers: 270 on a
     44x44 map, 128 on 64x64, 2 on 512x512, none past 2**19 cells. A search
-    that reaches that bound, or whose layers run out because dst's side
-    holds no route, hands over to the list breadth-first search from src,
-    which also yields the failed region, and the bitmasks are dropped
-    before it starts. When src and dst are more steps apart on the bare
-    grid (Manhattan distance) than that bound, the layers are skipped. So
-    the kept layers never exceed 64 KiB, and the time they take is bounded
-    on any map. The budget is that size because nearly every replan on
-    the paper's 44-64 cell wide maps fits in it, while it stays below the
-    list search's own parent table, 8 bytes a cell, on any map of more
-    than 8,192 cells.
+    that reaches that bound hands over to the list breadth-first search
+    from src, and the bitmasks are dropped before it starts; its cut, when
+    it fails, is the region it reached, less src when src is forbidden.
+    When src and dst are more steps apart on the bare grid (Manhattan
+    distance) than that bound, the layers are skipped. So the kept layers
+    never exceed 64 KiB, and the time they take is bounded on any map. The
+    budget is that size because nearly every replan on the paper's 44-64
+    cell wide maps fits in it, while it stays below the list search's own
+    parent table, 8 bytes a cell, on any map of more than 8,192 cells.
     """
     if not grid.is_passable(src):
         raise ValueError(f"path source {src} is not passable")
@@ -282,11 +292,23 @@ def find_path(
         # A mask packed here is dropped before any flood.
         if free is None:
             free = free_mask(grid, forbidden)
-        path = _layered_path(grid, src, dst, free, max_layers)
+        found = _layered_path(grid, src, dst, free, max_layers)
         del free
-        if path is not None:
-            return path, None
-    return _flood(grid, src, dst, forbidden)
+        if isinstance(found, list):
+            return found, None
+        if found is not None:
+            if keep_cut is not None:
+                keep_cut(found)
+            return None, None
+    path, region = _flood(grid, src, dst, forbidden)
+    if region is not None and keep_cut is not None:
+        flags = bytearray(len(grid._nbr))
+        for i in region:
+            flags[i] = 1
+        if src in forbidden:
+            flags[region[0]] = 0
+        keep_cut(_pack(flags))
+    return path, region
 
 
 def free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
@@ -302,8 +324,12 @@ def free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
     return grid._bits & ~int.from_bytes(marks, "little")
 
 
-def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: int) -> list[Cell] | None:
-    """find_path's bitmask search: the path, or None past max_layers or without a route."""
+def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: int) -> list[Cell] | int | None:
+    """find_path's bitmask search.
+
+    Returns the path, or dst's free component as a bitmask when the layers
+    run out before they touch src, or None once max_layers layers are grown.
+    """
     w = grid.width
     west = grid._west
     east = grid._east
@@ -326,7 +352,7 @@ def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: in
             return path
         layer = near & unseen
         if not layer:
-            return None
+            return free & ~unseen
         unseen ^= layer
     return None
 

@@ -337,6 +337,7 @@ def audit_team_step(
 # -------- instance JSON --------
 
 _REQUIRED = object()
+_INSTANCE_KEYS = ("time_limit", "map", "graph", "attackers", "defenders", "metadata")
 _KINDS = {int: "an integer", float: "a number", tuple: "a list"}
 
 
@@ -358,6 +359,13 @@ def json_field(doc: object, key: str, where: str, kind=None, default=_REQUIRED):
         return kind(value)
     except (TypeError, ValueError):
         raise ValueError(f"{where} {key!r} must be {_KINDS[kind]}, got {value!r}") from None
+
+
+def reject_unknown_keys(doc: dict, known: Iterable[str], where: str) -> None:
+    """Raise ValueError naming where and the first key of doc not in known."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r}")
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -416,6 +424,7 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             raise ValueError("instance 'graph' 'nodes' must be a list of strings")
         if not (isinstance(edges, list) and all(names(e) and len(e) == 2 for e in edges)):
             raise ValueError("instance 'graph' 'edges' must be a list of node-name pairs")
+        reject_unknown_keys(g, ("nodes", "edges"), "instance 'graph'")
         world = AdjacencyGraph.from_edges(nodes, [tuple(e) for e in edges])
         to_node = lambda v, where: v
     attackers = doc.get("attackers", [])
@@ -427,7 +436,7 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             for i, agent in enumerate(agents)
         )
 
-    return Instance(
+    instance = Instance(
         world=world,
         attacker_starts=agent_nodes("attacker", attackers, "start"),
         attacker_targets=agent_nodes("attacker", attackers, "target"),
@@ -435,6 +444,12 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
         time_limit=json_field(doc, "time_limit", "instance", int),
         metadata=doc.get("metadata"),
     )
+    reject_unknown_keys(doc, _INSTANCE_KEYS, "instance")
+    for i, agent in enumerate(attackers):
+        reject_unknown_keys(agent, ("start", "target"), f"attacker {i}")
+    for i, agent in enumerate(defenders):
+        reject_unknown_keys(agent, ("start",), f"defender {i}")
+    return instance
 
 
 def load_instance(path: str) -> Instance:

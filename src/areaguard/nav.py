@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from areaguard.grid import Cell, GridMap, find_path, free_mask, shortest_path
+from areaguard.grid import BIT_BUDGET, Cell, GridMap, find_path, free_mask, shortest_path
 from areaguard.model import AgentId, Configuration
 
 STALL_REPLAN_THRESHOLD = 3
@@ -33,16 +33,17 @@ class NavState:
 class SnapshotMemo:
     """What the replans against one occupied snapshot share.
 
-    labels maps cell indices to the component labels that failed searches
-    leave (see _search_with_memo); free is the snapshot's free-cell mask
-    for grid.find_path, packed by the first search that needs it.
+    free is the snapshot's free-cell mask for grid.find_path, packed by the
+    first search that needs it; cuts holds the cuts that failed searches
+    report (see _search_with_memo), bitmasks of whole free components, at
+    most BIT_BUDGET bits of them in all.
     """
 
-    __slots__ = ("labels", "free")
+    __slots__ = ("free", "cuts")
 
     def __init__(self) -> None:
-        self.labels: dict[int, int] = {}
         self.free: int | None = None
+        self.cuts: list[int] = []
 
 
 def next_move(
@@ -65,8 +66,8 @@ def next_move(
     path search ignores its source as an obstacle. Such callers may also
     pass memo, one SnapshotMemo shared by all calls made against one
     occupied snapshot: the snapshot's free-cell mask is packed once for all
-    its searches, and failed searches label the cells they flood, so
-    hopeless replans in a crowded phase are answered without a flood.
+    its searches, and failed searches leave cuts that answer hopeless
+    replans in a crowded phase without a search.
     """
     here = config.positions[nav.agent]
     if nav.goal is None or here == nav.goal:
@@ -105,37 +106,39 @@ def _search_with_memo(
     occupied: set[Cell],
     memo: SnapshotMemo,
 ) -> list[Cell] | None:
-    """Path search (src != dst) that skips floods its labels prove futile.
+    """Path search (src != dst) that skips searches its cuts prove futile.
 
-    An occupied dst has no route and is answered at once. memo.labels maps
-    cell indices to component labels for one occupied snapshot. A failed
-    search floods its source plus whole components of free cells, and every
-    cell it reached gets the source's index as its label. So each free
-    component carries one label or none, and two free cells whose labels
-    differ (one of them may have none) are not connected. A route leaves
-    src through a free neighbor in dst's component, so unless some free
-    neighbor's label equals dst's (both None included) the flood is
-    skipped; that covers a source with no free neighbor. The answer is
-    exactly what the full search would return, just cheaper.
+    An occupied dst, or a src with no free neighbor, has no route and is
+    answered at once. memo.cuts holds the cuts that failed find_path calls
+    against one occupied snapshot reported: each is a union of whole free
+    components. A route leaves src through a free neighbor in dst's
+    component, and that component lies wholly inside or wholly outside
+    each cut. So when dst is inside a cut that holds no free neighbor of
+    src, or outside a cut that holds all of them, the search is skipped.
+    The answer is exactly what the full search would return, just cheaper.
+    Once the cuts fill BIT_BUDGET bits, failed searches add no more.
     """
     if dst in occupied:
         return None
-    labels = memo.labels
     w = grid.width
-    target = labels.get(grid.index(dst))
-    for ni in grid._nbr[grid.index(src)]:
-        if labels.get(ni) == target and (ni % w, ni // w) not in occupied:
-            break
-    else:
+    near = 0
+    for ni in grid._nbr[src[0] + src[1] * w]:
+        if (ni % w, ni // w) not in occupied:
+            near |= 1 << ni
+    if not near:
         return None
+    target = 1 << (dst[0] + dst[1] * w)
+    cuts = memo.cuts
+    for cut in cuts:
+        if cut & target:
+            if not cut & near:
+                return None
+        elif cut & near == near:
+            return None
     if memo.free is None:
         memo.free = free_mask(grid, occupied)
-    path, region = find_path(grid, src, dst, occupied, memo.free)
-    if region is not None:
-        label = region[0]
-        for i in region:
-            labels[i] = label
-    return path
+    keep_cut = cuts.append if len(cuts) < BIT_BUDGET // len(grid._nbr) else None
+    return find_path(grid, src, dst, occupied, memo.free, keep_cut)[0]
 
 
 def observe_result(nav: NavState, proposed: Cell, before: Cell, after: Cell) -> NavState:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from areaguard.grid import Cell, GridMap, bfs_distance_table, load_map, nearest_target_path
-from areaguard.model import Instance, json_field
+from areaguard.model import Instance, json_field, reject_unknown_keys
 
 PLACEMENTS = ("overlapped", "separated")
 MAP_KINDS = ("empty", "rooms", "ruins", "file")
@@ -356,14 +356,21 @@ def spec_to_json(spec: ScenarioSpec) -> dict:
     return doc
 
 
-def map_spec_from_json(m: dict) -> MapSpec:
-    where = "map spec"
+_MAP_SPEC_KEYS = (
+    "kind", "path", "width", "height", "rooms_x", "rooms_y", "door_width", "damage_rate", "jitter"
+)
+RECT_KEYS = ("attacker_rect", "defender_rect", "target_rect")
+_SPEC_KEYS = ("map", "attackers", "defenders", "time_limit", "placement", *RECT_KEYS)
+
+
+def map_spec_from_json(m: dict, where: str = "map spec") -> MapSpec:
     kind = json_field(m, "kind", where)
     if kind not in MAP_KINDS:
         raise GenerationError(f"unknown map kind {kind!r}")
     path = m.get("path")
     if path is not None and not isinstance(path, str):
         raise GenerationError(f"{where} 'path' must be a string, got {path!r}")
+    reject_unknown_keys(m, _MAP_SPEC_KEYS, where)
     return MapSpec(
         kind=kind,
         width=json_field(m, "width", where, int, 0),
@@ -383,6 +390,7 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
     placement = doc.get("placement", "overlapped")
     if placement not in PLACEMENTS:
         raise GenerationError(f"unknown placement {placement!r}")
+    reject_unknown_keys(doc, _SPEC_KEYS, where)
     return ScenarioSpec(
         map=map_spec,
         n_attackers=json_field(doc, "attackers", where, int),

@@ -3,9 +3,17 @@ import json
 
 import pytest
 
+from areaguard.bench import config_from_json
 from areaguard.cli import main
-from areaguard.model import load_instance, validate_instance
-from areaguard.scenarios import ScenarioSpec, MapSpec, generate_instance, spec_to_json
+from areaguard.model import instance_from_json, load_instance, validate_instance
+from areaguard.scenarios import (
+    MapSpec,
+    ScenarioSpec,
+    generate_instance,
+    map_spec_from_json,
+    spec_from_json,
+    spec_to_json,
+)
 
 SPEC_DOC = {
     "map": {"kind": "empty", "width": 12, "height": 6},
@@ -263,7 +271,58 @@ BAD_DOCUMENTS = [
         {**SPEC_DOC, "map": {"kind": "file", "path": 5}},
         "map spec 'path' must be a string, got 5",
     ),
+    ("gen", {**SPEC_DOC, "typo": 1}, "scenario spec has unknown key 'typo'"),
+    (
+        "gen",
+        {**SPEC_DOC, "map": {**SPEC_DOC["map"], "damage_rat": 0.5}},
+        "map spec has unknown key 'damage_rat'",
+    ),
+    ("run", {**GRID_INSTANCE, "bogus": 1}, "instance has unknown key 'bogus'"),
+    (
+        "run",
+        {**GRID_INSTANCE, "attackers": [{"start": [0, 0], "target": [3, 0], "extra": 1}]},
+        "attacker 0 has unknown key 'extra'",
+    ),
+    (
+        "run",
+        {**GRID_INSTANCE, "defenders": [{"start": [1, 0], "target": [2, 0]}]},
+        "defender 0 has unknown key 'target'",
+    ),
+    (
+        "run",
+        {**GRAPH_INSTANCE, "graph": {**GRAPH_INSTANCE["graph"], "weights": [1]}},
+        "instance 'graph' has unknown key 'weights'",
+    ),
+    ("bench", {**BENCH_DOC, "run": 3}, "bench config has unknown key 'run'"),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": [{**BENCH_DOC["maps"][0], "rect": [0, 0, 1, 1]}]},
+        "bench config map 0 has unknown key 'rect'",
+    ),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": [{"name": "open", "map": {"kind": "empty", "width": 10, "hieght": 6}}]},
+        "bench config map 0 'map' has unknown key 'hieght'",
+    ),
 ]
+
+
+def test_documents_with_every_known_key_parse():
+    # The keys that bench configs, scenario specs and instances may use,
+    # each at least once, so rejecting unknown keys rejects none of these.
+    rects = {"attacker_rect": [0, 0, 4, 6], "defender_rect": [4, 0, 2, 6], "target_rect": [6, 0, 4, 6]}
+    ruins = {
+        "kind": "ruins", "width": 20, "height": 12, "rooms_x": 2, "rooms_y": 1,
+        "door_width": 1, "damage_rate": 0.1, "jitter": 1,
+    }
+    config = config_from_json({**BENCH_DOC, "maps": [{"name": "r", "map": ruins, **rects}]})
+    assert config.maps[0].map_spec.damage_rate == 0.1 and config.maps[0].target_rect.x == 6
+    spec = spec_from_json({**SPEC_DOC, "map": ruins, **rects})
+    assert spec_from_json(spec_to_json(spec)) == spec
+    assert map_spec_from_json({"kind": "file", "path": "x.map"}).path == "x.map"
+    doc = {**GRID_INSTANCE, "defenders": [{"start": [1, 0]}], "metadata": {"seed": 1}}
+    assert instance_from_json(doc).metadata == {"seed": 1}
+    assert instance_from_json(GRAPH_INSTANCE).n_attackers == 1
 
 
 @pytest.mark.parametrize("command, doc, message", BAD_DOCUMENTS)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from areaguard import grid as grid_module
 from areaguard.allocate import STRATEGIES
 from areaguard.engine import compute_metrics, result_to_json, run_simulation, timed_run
 from areaguard.grid import shortest_path
@@ -257,10 +258,20 @@ def _two_room_outputs_digest() -> tuple[str, int]:
     return digest.hexdigest(), runs
 
 
-def test_crowded_two_room_outputs_are_pinned():
+def test_crowded_two_room_outputs_are_pinned(monkeypatch):
     # 30 attackers crowd one door held by 3 defenders, so most replans fail
     # and go through the engine's failed-search memo. The digest pins every
-    # phase of all four strategies on two seeds.
+    # phase of all four strategies on two seeds. Every search on this 24x12
+    # map fits the layers' budget, so none may fall back to the list flood.
+    floods = []
+    flood = grid_module._flood
+
+    def counted_flood(*args):
+        floods.append(args)
+        return flood(*args)
+
+    monkeypatch.setattr(grid_module, "_flood", counted_flood)
     digest, runs = _two_room_outputs_digest()
     assert runs == 8
+    assert floods == []
     assert digest == "21886c38665881566b9bd17645a33fae08f4dd312562ad4ff276790407cb6c53"

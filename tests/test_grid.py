@@ -245,10 +245,27 @@ def _lex_min_path(grid, src, dst, forbidden):
     return path, reached
 
 
+def _free_component(grid, cell, forbidden):
+    """Cells 4-connected to cell through passable cells outside forbidden, cell included."""
+    seen = {cell}
+    queue = [cell]
+    for here in queue:
+        for nxt in grid.neighbors(here):
+            if nxt not in seen and nxt not in forbidden:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def _mask(grid, cells):
+    return sum(1 << grid.index(c) for c in cells)
+
+
 def test_find_path_is_the_lexicographically_first_shortest_path():
     # The routing contract: among shortest paths that avoid forbidden cells,
-    # find_path returns the one whose N, S, W, E move sequence sorts first,
-    # and on failure exactly the region reachable from src.
+    # find_path returns the one whose N, S, W, E move sequence sorts first.
+    # On these small maps the layers decide every failure: no region comes
+    # back, and the one cut reported is exactly dst's free component.
     rng = random.Random(4242)
     found = failed = 0
     for _ in range(400):
@@ -263,18 +280,20 @@ def test_find_path_is_the_lexicographically_first_shortest_path():
                     forbidden |= {(-1, 0), (grid.width, grid.height - 1)}
             src = rng.choice(sorted(forbidden & set(cells)) or cells)
             dst = rng.choice(cells)
-            path, region = find_path(grid, src, dst, forbidden)
+            cuts = []
+            path, region = find_path(grid, src, dst, forbidden, None, cuts.append)
             want, reached = _lex_min_path(grid, src, dst, forbidden - {src})
             assert path == want, (grid, src, dst, forbidden)
+            assert region is None
             if path is not None:
                 found += 1
-                assert region is None
+                assert cuts == []
             elif dst in forbidden and dst != src:
-                assert region is None
+                assert cuts == []
             else:
                 failed += 1
-                assert region[0] == grid.index(src) and len(region) == len(set(region))
-                assert {grid.cell(i) for i in region} == reached
+                assert dst not in reached
+                assert cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
     assert found > 1000 and failed > 500
 
 
@@ -305,9 +324,9 @@ def _corridor_cells(size):
 @pytest.mark.parametrize("size", [64, 128])
 def test_find_path_past_the_bit_budget_hands_over_to_the_flood(monkeypatch, size):
     # A search holds at most 128 layers on 64x64 and 32 on 128x128, far
-    # fewer than the serpentine's length, so long routes and failures fall
-    # back to the list search while shorter routes never reach it. Targets
-    # farther than that on the bare grid skip the layers.
+    # fewer than the serpentine's length, so long routes fall back to the
+    # list search while shorter routes never reach it. Targets farther than
+    # that on the bare grid skip the layers.
     grid = _serpentine(size)
     corridor = _corridor_cells(size)
     max_layers = BIT_BUDGET // (size * size)
@@ -338,17 +357,30 @@ def test_find_path_past_the_bit_budget_hands_over_to_the_flood(monkeypatch, size
     # The bare-grid bound skips the layers of some searches on 128x128 only.
     assert (len(calls["_layered_path"]) < 8) == (size == 128)
 
-    # One forbidden corridor cell cuts the route: the region is exactly
-    # what src still reaches, src first.
-    for cut, src, dst in ((50, 10, -1), (50, 60, 0), (900, 899, -1), (900, 1500, 0)):
+    # One forbidden corridor cell cuts the route. Only the third query on
+    # 64x64 has a target side (50 cells) that the layers exhaust within
+    # their budget: they decide it with no flood and no region. The others
+    # flood, and the region is exactly what src still reaches, src first.
+    # Either way the one cut reported is a whole side of the corridor, less
+    # src when src is forbidden.
+    queries = ((50, 10, -1), (50, 60, 0), (900, 899, -1), (900, 1500, 0))
+    for number, (cut, src, dst) in enumerate(queries):
         src, dst = corridor[src], corridor[dst]
-        forbidden = {corridor[cut]}
-        path, region = find_path(grid, src, dst, forbidden)
-        want, reached = _lex_min_path(grid, src, dst, forbidden)
-        assert path is None and want is None
-        assert region[0] == grid.index(src) and len(region) == len(set(region))
-        assert {grid.cell(i) for i in region} == reached
-        assert reached == (set(corridor[:cut]) if src in corridor[:cut] else set(corridor[cut + 1 :]))
+        for forbidden in ({corridor[cut]}, {corridor[cut], src}):
+            cuts = []
+            floods = len(calls["_flood"])
+            path, region = find_path(grid, src, dst, forbidden, None, cuts.append)
+            want, reached = _lex_min_path(grid, src, dst, forbidden - {src})
+            assert path is None and want is None
+            assert reached == (set(corridor[:cut]) if src in corridor[:cut] else set(corridor[cut + 1 :]))
+            if size == 64 and number == 1:
+                assert len(calls["_flood"]) == floods and region is None
+                assert cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
+            else:
+                assert len(calls["_flood"]) == floods + 1
+                assert region[0] == grid.index(src) and len(region) == len(set(region))
+                assert {grid.cell(i) for i in region} == reached
+                assert cuts == [_mask(grid, reached - forbidden)]
 
 
 def test_find_path_gives_the_same_answer_with_a_caller_packed_mask():
@@ -368,7 +400,7 @@ def test_find_path_gives_the_same_answer_with_a_caller_packed_mask():
             got = find_path(grid, src, dst, forbidden, free)
             assert got == find_path(grid, src, dst, forbidden), (grid, src, dst, forbidden)
             found += got[0] is not None
-            failed += got[1] is not None
+            failed += got[0] is None and dst not in forbidden
     assert found > 300 and failed > 300
 
 

@@ -104,9 +104,27 @@ def test_observe_result_clears_desynchronized_plan():
     assert out.stalls == 0
 
 
+def _components(grid, occupied):
+    """Bitmask of each 4-connected component of the passable cells not in occupied."""
+    comps = []
+    seen = set(occupied)
+    for start in grid.passable_cells():
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for here in queue:
+            for nxt in grid.neighbors(here):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        comps.append(sum(1 << grid.index(c) for c in queue))
+    return comps
+
+
 def test_search_with_memo_matches_a_full_search(monkeypatch):
     # Sources sit on occupied cells, as the engine's agents do, and every
-    # query of one snapshot shares one label map.
+    # query of one snapshot shares one memo.
     searches = []
 
     def counted_find_path(*args):
@@ -115,7 +133,7 @@ def test_search_with_memo_matches_a_full_search(monkeypatch):
 
     monkeypatch.setattr(nav_module, "find_path", counted_find_path)
     rng = random.Random(8128)
-    queries = skipped = free_targets = boxed_in = relabelled = 0
+    queries = skipped = free_targets = boxed_in = cuts_checked = 0
     for _ in range(150):
         grid = random_grid(rng, rng.randrange(3, 11), rng.randrange(3, 11), rng.uniform(0.0, 0.35))
         cells = list(grid.passable_cells())
@@ -124,11 +142,9 @@ def test_search_with_memo_matches_a_full_search(monkeypatch):
         occupied = set(rng.sample(cells, rng.randrange(1, int(len(cells) * 0.7) + 1)))
         sources = sorted(occupied)
         memo = SnapshotMemo()
-        labels = memo.labels
         for _ in range(40):
             src = rng.choice(sources)
             dst = rng.choice([c for c in cells if c != src])
-            before = dict(labels)
             searched = len(searches)
             got = _search_with_memo(grid, src, dst, occupied, memo)
             assert got == find_path(grid, src, dst, occupied)[0], (grid, src, dst, occupied)
@@ -140,12 +156,16 @@ def test_search_with_memo_matches_a_full_search(monkeypatch):
                 free_targets += 1
                 skipped += len(searches) == searched
             boxed_in += all(nb in occupied for nb in grid.neighbors(src))
-            relabelled += any(labels[i] != label for i, label in before.items())
-    # Exact answers alone do not show the memo works: labelling every
-    # failure alike, or letting occupied neighbours trigger searches, stays
-    # exact but skips fewer of the queries to free targets (991 and 937 of
-    # 4,023 here, against 1,344).
+        # Every cut kept is exactly a union of free components: each
+        # component lies wholly inside it or wholly outside.
+        for cut in memo.cuts:
+            assert all(comp & cut in (0, comp) for comp in _components(grid, occupied))
+            cuts_checked += 1
+    # Exact answers alone do not show the memo works: keeping no cuts, or
+    # counting occupied neighbours as ways out of src, stays exact but
+    # skips fewer of the queries to free targets (405 and 1,206 of 4,023
+    # here, against 1,315).
     assert queries > 4000
-    assert skipped > free_targets * 3 // 10
+    assert skipped > free_targets * 31 // 100
     assert boxed_in > 100
-    assert relabelled > 50
+    assert cuts_checked > 50
