@@ -18,14 +18,14 @@ from typing import NamedTuple
 
 from areaguard.allocate import STRATEGIES
 from areaguard.engine import Metrics, run_simulation, timed_run
-from areaguard.model import json_field, reject_unknown_keys
+from areaguard.model import REQUIRED, read_json_object
 from areaguard.scenarios import (
-    RECT_KEYS,
+    PLACEMENTS,
+    RECT_FIELDS,
     GenerationError,
     MapSpec,
     Rect,
     ScenarioSpec,
-    _rect_from_json,
     generate_instance,
     map_spec_from_json,
 )
@@ -36,9 +36,6 @@ RUN_HEADER = (
 )
 AGGREGATE_HEADER = "map,ratio,placement,strategy,runs,mean_captured,min,max,stddev"
 TIMESERIES_STEP_HEADER = "step"
-_CONFIG_KEYS = (
-    "master_seed", "attackers", "time_limit", "runs", "ratios", "placements", "strategies", "maps"
-)
 
 
 def _digest_seed(text: str) -> int:
@@ -89,42 +86,44 @@ class BenchConfig:
     strategies: tuple[str, ...] = field(default=tuple(STRATEGIES))
 
 
+_CONFIG_FIELDS = (
+    ("master_seed", int, 0),
+    ("attackers", int, REQUIRED),
+    ("time_limit", int, REQUIRED),
+    ("runs", int, REQUIRED),
+    ("maps", tuple, REQUIRED),
+    ("ratios", tuple, REQUIRED),
+    ("placements", tuple, REQUIRED),
+    ("strategies", tuple, STRATEGIES),
+)
+_MAP_FIELDS = (("name", str, REQUIRED), ("map", map_spec_from_json, REQUIRED), *RECT_FIELDS)
+
+
 def config_from_json(doc: dict) -> BenchConfig:
     where = "bench config"
-    maps = []
-    for i, entry in enumerate(json_field(doc, "maps", where, tuple)):
+    fields = read_json_object(doc, where, _CONFIG_FIELDS)
+    maps: list[BenchMap] = []
+    for i, entry in enumerate(fields["maps"]):
         at = f"{where} map {i}"
-        maps.append(
-            BenchMap(
-                name=json_field(entry, "name", at),
-                map_spec=map_spec_from_json(json_field(entry, "map", at), f"{at} 'map'"),
-                attacker_rect=_rect_from_json(entry, "attacker_rect", at),
-                defender_rect=_rect_from_json(entry, "defender_rect", at),
-                target_rect=_rect_from_json(entry, "target_rect", at),
-            )
-        )
-        reject_unknown_keys(entry, ("name", "map", *RECT_KEYS), at)
-    ratios = json_field(doc, "ratios", where, tuple)
-    for ratio in ratios:
+        bench_map = read_json_object(entry, at, _MAP_FIELDS)
+        # The name is a column of the CSV tables and a seed input.
+        name = bench_map.pop("name")
+        if any(c in name for c in ",\r\n"):
+            raise ValueError(f"{at} 'name' must contain no comma or line break, got {name!r}")
+        if any(m.name == name for m in maps):
+            raise ValueError(f"{at} 'name' {name!r} is already taken by an earlier map")
+        maps.append(BenchMap(name, map_spec=bench_map.pop("map"), **bench_map))
+    for ratio in fields["ratios"]:
         parse_ratio(ratio)
-    strategies = json_field(doc, "strategies", where, tuple, STRATEGIES)
-    for strategy in strategies:
+    for placement in fields["placements"]:
+        if placement not in PLACEMENTS:
+            raise GenerationError(f"unknown placement {placement!r}")
+    for strategy in fields["strategies"]:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-    placements = json_field(doc, "placements", where, tuple)
-    config = BenchConfig(
-        master_seed=json_field(doc, "master_seed", where, int, 0),
-        attackers=json_field(doc, "attackers", where, int),
-        time_limit=json_field(doc, "time_limit", where, int),
-        runs=json_field(doc, "runs", where, int),
-        maps=tuple(maps),
-        ratios=ratios,
-        placements=placements,
-        strategies=strategies,
-    )
+    config = BenchConfig(**{**fields, "maps": tuple(maps)})
     if config.attackers < 1 or config.runs < 1 or config.time_limit < 1:
         raise ValueError("attackers, runs and time_limit must all be positive")
-    reject_unknown_keys(doc, _CONFIG_KEYS, where)
     return config
 
 

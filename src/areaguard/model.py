@@ -48,13 +48,6 @@ def defender(index: int) -> AgentId:
     return AgentId(Team.DEFENDERS, index)
 
 
-def parse_agent_label(label: str) -> AgentId:
-    kind, num = label[:1], label[1:]
-    if kind not in ("a", "d") or not num.isdigit():
-        raise ValueError(f"bad agent label {label!r}")
-    return AgentId(Team.ATTACKERS if kind == "a" else Team.DEFENDERS, int(num))
-
-
 class RuleViolation(Exception):
     """A configuration transition broke one of the movement rules."""
 
@@ -108,10 +101,6 @@ class AdjacencyGraph:
 
     def is_passable(self, node: object) -> bool:
         return node in self._adj
-
-    @property
-    def node_count(self) -> int:
-        return len(self._adj)
 
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
@@ -334,38 +323,85 @@ def audit_team_step(
     return problems
 
 
-# -------- instance JSON --------
+# -------- JSON documents --------
 
-_REQUIRED = object()
-_INSTANCE_KEYS = ("time_limit", "map", "graph", "attackers", "defenders", "metadata")
-_KINDS = {int: "an integer", float: "a number", tuple: "a list"}
+REQUIRED = object()
+# The JSON values each plain kind takes (a bool is no integer here) and its
+# name in messages.
+_PLAIN_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "a list"),
+    dict: ((dict,), "a JSON object"),
+}
 
 
-def json_field(doc: object, key: str, where: str, kind=None, default=_REQUIRED):
-    """doc[key], converted by kind when given; default when key is absent.
+def read_json_object(doc: object, where: str, table) -> dict:
+    """The fields of doc that table lists, keyed by name.
 
-    Any failure raises ValueError naming where (the document) and key.
+    Each row of table is (key, kind, default). A plain kind (int, float,
+    str, tuple for a JSON list, or dict) takes only its own JSON values and
+    converts them by calling kind(value); any other kind is a function
+    kind(value, label) that checks and converts the value itself. default
+    stands in for an absent key, and REQUIRED makes the key mandatory.
+    Every row is read before a key the table does not list is rejected.
+    Failures raise ValueError naming where (the document) and the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {doc!r}")
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ValueError(f"{where} has no {key!r}")
-        return default
-    value = doc[key]
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} {key!r} must be {_KINDS[kind]}, got {value!r}") from None
-
-
-def reject_unknown_keys(doc: dict, known: Iterable[str], where: str) -> None:
-    """Raise ValueError naming where and the first key of doc not in known."""
+    fields = {}
+    for key, kind, default in table:
+        if key not in doc:
+            if default is REQUIRED:
+                raise ValueError(f"{where} has no {key!r}")
+            fields[key] = default
+        elif kind in _PLAIN_KINDS:
+            types, name = _PLAIN_KINDS[kind]
+            if type(doc[key]) not in types:
+                raise ValueError(f"{where} {key!r} must be {name}, got {doc[key]!r}")
+            fields[key] = kind(doc[key])
+        else:
+            fields[key] = kind(doc[key], f"{where} {key!r}")
     for key in doc:
-        if key not in known:
+        if key not in fields:
             raise ValueError(f"{where} has unknown key {key!r}")
+    return fields
+
+
+def _map_source(value: object, where: str) -> str | list[str]:
+    if isinstance(value, str) or (
+        isinstance(value, list) and all(isinstance(row, str) for row in value)
+    ):
+        return value
+    raise ValueError(f"{where} must be a .map file path or a list of row strings")
+
+
+def _graph(value: object, where: str) -> AdjacencyGraph:
+    fields = read_json_object(value, where, _GRAPH_FIELDS)
+    names = lambda v: all(isinstance(name, str) for name in v)
+    if not names(fields["nodes"]):
+        raise ValueError(f"{where} 'nodes' must be a list of strings")
+    if not all(isinstance(e, list) and len(e) == 2 and names(e) for e in fields["edges"]):
+        raise ValueError(f"{where} 'edges' must be a list of node-name pairs")
+    return AdjacencyGraph.from_edges(fields["nodes"], [tuple(e) for e in fields["edges"]])
+
+
+def _grid_cell(value: object, where: str) -> Cell:
+    if isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value):
+        return (value[0], value[1])
+    raise ValueError(f"{where} must be a pair of integers")
+
+
+_INSTANCE_FIELDS = (
+    ("time_limit", int, REQUIRED),
+    ("map", _map_source, None),
+    ("graph", _graph, None),
+    ("attackers", tuple, ()),
+    ("defenders", tuple, ()),
+    ("metadata", dict, None),
+)
+_GRAPH_FIELDS = (("nodes", tuple, REQUIRED), ("edges", tuple, REQUIRED))
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -398,58 +434,36 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
     file, resolved relative to base_dir. Reduced instances carry a "graph"
     object instead of a map.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"instance must be a JSON object, got {doc!r}")
-    if ("map" in doc) == ("graph" in doc):
+    fields = read_json_object(doc, "instance", _INSTANCE_FIELDS)
+    map_src, world = fields["map"], fields["graph"]
+    if (map_src is None) == (world is None):
         raise ValueError("instance needs exactly one of 'map' or 'graph'")
-    if "map" in doc:
-        map_src = doc["map"]
-        if isinstance(map_src, str):
-            world: World = load_map(os.path.join(base_dir, map_src))
-        elif isinstance(map_src, list) and all(isinstance(row, str) for row in map_src):
-            world = parse_rows(map_src)
-        else:
-            raise ValueError("instance 'map' must be a .map file path or a list of row strings")
-
-        def to_node(v, where: str) -> Node:
-            if isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
-                return (v[0], v[1])
-            raise ValueError(f"{where} must be a pair of integers")
+    if world is not None:
+        node = str
     else:
-        g = doc["graph"]
-        nodes = json_field(g, "nodes", "instance 'graph'")
-        edges = json_field(g, "edges", "instance 'graph'")
-        names = lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)
-        if not names(nodes):
-            raise ValueError("instance 'graph' 'nodes' must be a list of strings")
-        if not (isinstance(edges, list) and all(names(e) and len(e) == 2 for e in edges)):
-            raise ValueError("instance 'graph' 'edges' must be a list of node-name pairs")
-        reject_unknown_keys(g, ("nodes", "edges"), "instance 'graph'")
-        world = AdjacencyGraph.from_edges(nodes, [tuple(e) for e in edges])
-        to_node = lambda v, where: v
-    attackers = doc.get("attackers", [])
-    defenders = doc.get("defenders", [])
-
-    def agent_nodes(team: str, agents: list, key: str) -> tuple[Node, ...]:
-        return tuple(
-            to_node(json_field(agent, key, f"{team} {i}"), f"{team} {i} {key!r}")
-            for i, agent in enumerate(agents)
-        )
-
-    instance = Instance(
+        if isinstance(map_src, str):
+            world = load_map(os.path.join(base_dir, map_src))
+        else:
+            world = parse_rows(map_src)
+        node = _grid_cell
+    attacker_fields = (("start", node, REQUIRED), ("target", node, REQUIRED))
+    defender_fields = (("start", node, REQUIRED),)
+    attackers = [
+        read_json_object(agent, f"attacker {i}", attacker_fields)
+        for i, agent in enumerate(fields["attackers"])
+    ]
+    defenders = [
+        read_json_object(agent, f"defender {i}", defender_fields)
+        for i, agent in enumerate(fields["defenders"])
+    ]
+    return Instance(
         world=world,
-        attacker_starts=agent_nodes("attacker", attackers, "start"),
-        attacker_targets=agent_nodes("attacker", attackers, "target"),
-        defender_starts=agent_nodes("defender", defenders, "start"),
-        time_limit=json_field(doc, "time_limit", "instance", int),
-        metadata=doc.get("metadata"),
+        attacker_starts=tuple(a["start"] for a in attackers),
+        attacker_targets=tuple(a["target"] for a in attackers),
+        defender_starts=tuple(d["start"] for d in defenders),
+        time_limit=fields["time_limit"],
+        metadata=fields["metadata"],
     )
-    reject_unknown_keys(doc, _INSTANCE_KEYS, "instance")
-    for i, agent in enumerate(attackers):
-        reject_unknown_keys(agent, ("start", "target"), f"attacker {i}")
-    for i, agent in enumerate(defenders):
-        reject_unknown_keys(agent, ("start",), f"defender {i}")
-    return instance
 
 
 def load_instance(path: str) -> Instance:

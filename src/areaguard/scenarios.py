@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from areaguard.grid import Cell, GridMap, bfs_distance_table, load_map, nearest_target_path
-from areaguard.model import Instance, json_field, reject_unknown_keys
+from areaguard.model import REQUIRED, Instance, read_json_object
 
 PLACEMENTS = ("overlapped", "separated")
 MAP_KINDS = ("empty", "rooms", "ruins", "file")
@@ -38,9 +38,6 @@ class Rect:
         for y in range(self.y, self.y + self.height):
             for x in range(self.x, self.x + self.width):
                 yield (x, y)
-
-    def contains(self, cell: Cell) -> bool:
-        return self.x <= cell[0] < self.x + self.width and self.y <= cell[1] < self.y + self.height
 
 
 @dataclass(frozen=True)
@@ -313,91 +310,53 @@ def generate_instance(spec: ScenarioSpec, seed: int, base_dir: str | Path = ".")
     )
 
 
-def _rect_from_json(doc: dict, key: str, where: str) -> Rect | None:
-    value = doc.get(key)
+def _rect(value: object, where: str) -> Rect | None:
+    """A rect field: [x, y, width, height] as four integers, or null."""
     if value is None:
         return None
-    try:
-        x, y, w, h = (int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} {key!r} must be a list of four integers, got {value!r}") from None
-    return Rect(x, y, w, h)
+    if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
+        raise ValueError(f"{where} must be a list of four integers, got {value!r}")
+    return Rect(*value)
 
 
-def spec_to_json(spec: ScenarioSpec) -> dict:
-    m = spec.map
-    map_doc: dict = {"kind": m.kind}
-    if m.kind == "file":
-        map_doc["path"] = m.path
-    else:
-        map_doc["width"] = m.width
-        map_doc["height"] = m.height
-    if m.kind in ("rooms", "ruins"):
-        map_doc["rooms_x"] = m.rooms_x
-        map_doc["rooms_y"] = m.rooms_y
-        map_doc["door_width"] = m.door_width
-    if m.kind == "ruins":
-        map_doc["damage_rate"] = m.damage_rate
-        map_doc["jitter"] = m.jitter
-    doc = {
-        "map": map_doc,
-        "attackers": spec.n_attackers,
-        "defenders": spec.n_defenders,
-        "time_limit": spec.time_limit,
-        "placement": spec.placement,
-    }
-    for key, rect in (
-        ("attacker_rect", spec.attacker_rect),
-        ("defender_rect", spec.defender_rect),
-        ("target_rect", spec.target_rect),
-    ):
-        if rect is not None:
-            doc[key] = [rect.x, rect.y, rect.width, rect.height]
-    return doc
-
-
-_MAP_SPEC_KEYS = (
-    "kind", "path", "width", "height", "rooms_x", "rooms_y", "door_width", "damage_rate", "jitter"
+_MAP_SPEC_FIELDS = (
+    ("kind", str, REQUIRED),
+    ("width", int, 0),
+    ("height", int, 0),
+    ("rooms_x", int, 1),
+    ("rooms_y", int, 1),
+    ("door_width", int, 1),
+    ("damage_rate", float, 0.0),
+    ("jitter", int, 0),
+    ("path", str, None),
 )
-RECT_KEYS = ("attacker_rect", "defender_rect", "target_rect")
-_SPEC_KEYS = ("map", "attackers", "defenders", "time_limit", "placement", *RECT_KEYS)
+RECT_FIELDS = (
+    ("attacker_rect", _rect, None),
+    ("defender_rect", _rect, None),
+    ("target_rect", _rect, None),
+)
+_SPEC_FIELDS = (
+    # Errors inside a scenario spec's map name the "map spec".
+    ("map", lambda value, where: map_spec_from_json(value), REQUIRED),
+    ("attackers", int, REQUIRED),
+    ("defenders", int, REQUIRED),
+    ("time_limit", int, REQUIRED),
+    ("placement", str, "overlapped"),
+    *RECT_FIELDS,
+)
 
 
 def map_spec_from_json(m: dict, where: str = "map spec") -> MapSpec:
-    kind = json_field(m, "kind", where)
-    if kind not in MAP_KINDS:
-        raise GenerationError(f"unknown map kind {kind!r}")
-    path = m.get("path")
-    if path is not None and not isinstance(path, str):
-        raise GenerationError(f"{where} 'path' must be a string, got {path!r}")
-    reject_unknown_keys(m, _MAP_SPEC_KEYS, where)
-    return MapSpec(
-        kind=kind,
-        width=json_field(m, "width", where, int, 0),
-        height=json_field(m, "height", where, int, 0),
-        rooms_x=json_field(m, "rooms_x", where, int, 1),
-        rooms_y=json_field(m, "rooms_y", where, int, 1),
-        door_width=json_field(m, "door_width", where, int, 1),
-        damage_rate=json_field(m, "damage_rate", where, float, 0.0),
-        jitter=json_field(m, "jitter", where, int, 0),
-        path=path,
-    )
+    spec = MapSpec(**read_json_object(m, where, _MAP_SPEC_FIELDS))
+    if spec.kind not in MAP_KINDS:
+        raise GenerationError(f"unknown map kind {spec.kind!r}")
+    return spec
 
 
 def spec_from_json(doc: dict) -> ScenarioSpec:
-    where = "scenario spec"
-    map_spec = map_spec_from_json(json_field(doc, "map", where))
-    placement = doc.get("placement", "overlapped")
-    if placement not in PLACEMENTS:
-        raise GenerationError(f"unknown placement {placement!r}")
-    reject_unknown_keys(doc, _SPEC_KEYS, where)
+    fields = read_json_object(doc, "scenario spec", _SPEC_FIELDS)
+    if fields["placement"] not in PLACEMENTS:
+        raise GenerationError(f"unknown placement {fields['placement']!r}")
     return ScenarioSpec(
-        map=map_spec,
-        n_attackers=json_field(doc, "attackers", where, int),
-        n_defenders=json_field(doc, "defenders", where, int),
-        time_limit=json_field(doc, "time_limit", where, int),
-        placement=placement,
-        attacker_rect=_rect_from_json(doc, "attacker_rect", where),
-        defender_rect=_rect_from_json(doc, "defender_rect", where),
-        target_rect=_rect_from_json(doc, "target_rect", where),
+        n_attackers=fields.pop("attackers"), n_defenders=fields.pop("defenders"), **fields
     )

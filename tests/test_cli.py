@@ -1,5 +1,7 @@
 """End-to-end command line tests (in-process main calls)."""
+import copy
 import json
+import random
 
 import pytest
 
@@ -8,11 +10,11 @@ from areaguard.cli import main
 from areaguard.model import instance_from_json, load_instance, validate_instance
 from areaguard.scenarios import (
     MapSpec,
+    Rect,
     ScenarioSpec,
     generate_instance,
     map_spec_from_json,
     spec_from_json,
-    spec_to_json,
 )
 
 SPEC_DOC = {
@@ -304,6 +306,42 @@ BAD_DOCUMENTS = [
         {**BENCH_DOC, "maps": [{"name": "open", "map": {"kind": "empty", "width": 10, "hieght": 6}}]},
         "bench config map 0 'map' has unknown key 'hieght'",
     ),
+    ("run", {**GRID_INSTANCE, "attackers": 5}, "instance 'attackers' must be a list, got 5"),
+    ("run", {**GRID_INSTANCE, "defenders": None}, "instance 'defenders' must be a list, got None"),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": [{**BENCH_DOC["maps"][0], "name": 5}]},
+        "bench config map 0 'name' must be a string, got 5",
+    ),
+    (
+        "gen",
+        {**SPEC_DOC, "map": {**SPEC_DOC["map"], "height": 6.9}},
+        "map spec 'height' must be an integer, got 6.9",
+    ),
+    ("gen", {**SPEC_DOC, "attackers": 2.9}, "scenario spec 'attackers' must be an integer, got 2.9"),
+    ("gen", {**SPEC_DOC, "defenders": "1"}, "scenario spec 'defenders' must be an integer, got '1'"),
+    (
+        "gen",
+        {**SPEC_DOC, "time_limit": True},
+        "scenario spec 'time_limit' must be an integer, got True",
+    ),
+    (
+        "bench",
+        {**BENCH_DOC, "strategies": "random"},
+        "bench config 'strategies' must be a list, got 'random'",
+    ),
+    ("bench", {**BENCH_DOC, "ratios": "1:2"}, "bench config 'ratios' must be a list, got '1:2'"),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": [{**BENCH_DOC["maps"][0], "name": "a,b"}]},
+        "bench config map 0 'name' must contain no comma or line break, got 'a,b'",
+    ),
+    (
+        "bench",
+        {**BENCH_DOC, "maps": BENCH_DOC["maps"] * 2},
+        "bench config map 1 'name' 'open' is already taken by an earlier map",
+    ),
+    ("bench", {**BENCH_DOC, "placements": ["diagonal"]}, "unknown placement 'diagonal'"),
 ]
 
 
@@ -318,7 +356,16 @@ def test_documents_with_every_known_key_parse():
     config = config_from_json({**BENCH_DOC, "maps": [{"name": "r", "map": ruins, **rects}]})
     assert config.maps[0].map_spec.damage_rate == 0.1 and config.maps[0].target_rect.x == 6
     spec = spec_from_json({**SPEC_DOC, "map": ruins, **rects})
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert spec == ScenarioSpec(
+        map=MapSpec(kind="ruins", width=20, height=12, rooms_x=2, rooms_y=1,
+                    door_width=1, damage_rate=0.1, jitter=1),
+        n_attackers=3,
+        n_defenders=2,
+        time_limit=25,
+        attacker_rect=Rect(0, 0, 4, 6),
+        defender_rect=Rect(4, 0, 2, 6),
+        target_rect=Rect(6, 0, 4, 6),
+    )
     assert map_spec_from_json({"kind": "file", "path": "x.map"}).path == "x.map"
     doc = {**GRID_INSTANCE, "defenders": [{"start": [1, 0]}], "metadata": {"seed": 1}}
     assert instance_from_json(doc).metadata == {"seed": 1}
@@ -335,3 +382,105 @@ def test_bad_document_is_a_one_line_error(tmp_path, capsys, command, doc, messag
         argv += ["-o", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -------- mutated documents --------
+
+MUTANT_VALUES = (None, -1, 0, 1.5, "x", True, [], [1], {}, {"a": 1})
+FUZZ_BENCH = {**BENCH_DOC, "runs": 1, "strategies": ["greedy"]}
+FUZZ_DOCUMENTS = {
+    "grid-instance": ("run", {**GRID_INSTANCE, "defenders": [{"start": [1, 0]}]}),
+    "graph-instance": ("solve", GRAPH_INSTANCE),
+    "scenario-spec": ("gen", SPEC_DOC),
+    "bench-config": ("bench", FUZZ_BENCH),
+}
+
+
+def _object_paths(doc, path=()):
+    """The path to every JSON object inside doc, doc itself included."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from _object_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _object_paths(value, path + (i,))
+
+
+def _with_value(doc, path, key, value):
+    doc = copy.deepcopy(doc)
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    obj[key] = value
+    return doc
+
+
+def _mutated_texts(doc, rng):
+    """Each key of each object in doc set to each mutant value, a seeded
+    sample of documents with three such changes at once, and every
+    truncation of the document's text."""
+    slots = []
+    for path in _object_paths(doc):
+        obj = doc
+        for step in path:
+            obj = obj[step]
+        slots += [(path, key) for key in obj]
+    mutants = [_with_value(doc, path, key, value) for path, key in slots for value in MUTANT_VALUES]
+    for _ in range(40):
+        mutant = doc
+        for path, key in rng.sample(slots, 3):
+            try:
+                mutant = _with_value(mutant, path, key, rng.choice(MUTANT_VALUES))
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier change removed the object this path leads to
+        mutants.append(mutant)
+    text = json.dumps(doc)
+    return [json.dumps(m) for m in mutants] + [text[:n] for n in range(len(text))]
+
+
+def _qdimacs_texts(rng):
+    """Each token of QDIMACS replaced by each mutant value's JSON text, each
+    line blanked, a seeded sample with three tokens replaced, and every
+    truncation."""
+    lines = [line.split() for line in QDIMACS.splitlines()]
+    slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    words = [json.dumps(value) for value in MUTANT_VALUES]
+
+    def text(changes):
+        out = [list(line) for line in lines]
+        for (i, j), word in changes:
+            out[i][j] = word
+        return "\n".join(" ".join(line) for line in out) + "\n"
+
+    texts = [text([(slot, word)]) for slot in slots for word in words]
+    texts += [text([((i, j), "") for j in range(len(lines[i]))]) for i in range(len(lines))]
+    texts += [text([(slot, rng.choice(words)) for slot in rng.sample(slots, 3)]) for _ in range(40)]
+    return texts + [QDIMACS[:n] for n in range(len(QDIMACS))]
+
+
+def _assert_clean_exits(tmp_path, capsys, command, texts):
+    flag = {"bench": "--config", "gen": "--spec", "run": "--instance", "solve": "--instance"}
+    path = tmp_path / "doc"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)] if command == "qbf2app" else [command, flag[command], str(path)]
+        if command in ("bench", "gen", "qbf2app"):
+            argv += ["-o", str(tmp_path / "out")]
+        if command == "bench":
+            argv += ["--jobs", "1"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (
+            code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        ), (text, code, err)
+
+
+@pytest.mark.parametrize("name", FUZZ_DOCUMENTS)
+def test_mutated_document_exits_cleanly(tmp_path, capsys, name):
+    command, doc = FUZZ_DOCUMENTS[name]
+    _assert_clean_exits(tmp_path, capsys, command, _mutated_texts(doc, random.Random(name)))
+
+
+def test_mutated_qdimacs_exits_cleanly(tmp_path, capsys):
+    _assert_clean_exits(tmp_path, capsys, "qbf2app", _qdimacs_texts(random.Random(12)))

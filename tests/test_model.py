@@ -20,7 +20,6 @@ from areaguard.model import (
     instance_from_json,
     instance_to_json,
     load_instance,
-    parse_agent_label,
     save_instance,
     validate_instance,
 )
@@ -37,10 +36,6 @@ def att_move(cfg: Configuration, **by_index) -> TeamMove:
 def test_agent_labels():
     assert attacker(3).label == "a3"
     assert defender(0).label == "d0"
-    assert parse_agent_label("a12") == attacker(12)
-    assert parse_agent_label("d4") == defender(4)
-    with pytest.raises(ValueError):
-        parse_agent_label("x1")
 
 
 def test_swap_is_refused_both_stay():

@@ -83,7 +83,7 @@ def test_reduction_roster_and_geometry():
     # 1 and 1 per clause.
     assert inst.n_attackers == 3 * 3 + 3 + 4 == 16
     assert inst.n_defenders == 2 * 3 + 3 + 4 == 13
-    assert graph.node_count == 198
+    assert len(list(graph.nodes())) == 198
     assert len(graph.edge_list()) == 214
     assert inst.time_limit == 2 * 198
     assert validate_instance(inst) == []
@@ -144,7 +144,7 @@ def test_reduction_small_formula_sizes():
     assert inst.n_attackers == 5
     assert inst.n_defenders == 4
     # Diamonds 16, stems 12, clause body 6, tail 7.
-    assert inst.world.node_count == 41
+    assert len(list(inst.world.nodes())) == 41
     assert inst.metadata["tail_edges"] == {"C1": 7}
     assert inst.time_limit == 82
 
