@@ -121,6 +121,12 @@ def config_from_json(doc: dict) -> BenchConfig:
     for strategy in fields["strategies"]:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+    # A repeated entry would play its simulations again under the same name.
+    for key in ("ratios", "placements", "strategies"):
+        values = fields[key]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{where} {key!r} repeats {value!r}")
     config = BenchConfig(**{**fields, "maps": tuple(maps)})
     if config.attackers < 1 or config.runs < 1 or config.time_limit < 1:
         raise ValueError("attackers, runs and time_limit must all be positive")
@@ -276,6 +282,10 @@ def timeseries_table(
         raise ValueError(f"no map named {map_name!r} in the config")
     if ratio not in config.ratios or placement not in config.placements:
         raise ValueError(f"{ratio!r}/{placement!r} not part of the config")
+    if not 0 <= run_index < config.runs:
+        raise ValueError(
+            f"run index {run_index} is outside 0..{config.runs - 1} (runs is {config.runs})"
+        )
     spec = scenario_for(config, bench_map, ratio, placement)
     instance_seed = derive_instance_seed(
         config.master_seed, map_name, ratio, placement, run_index

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from areaguard.allocate import Allocation, allocate_for
-from areaguard.grid import Cell, GridMap, shortest_path
+from areaguard.grid import Cell, GridMap, SnapshotMemo, shortest_path
 from areaguard.model import (
     AgentId,
     Configuration,
@@ -25,7 +25,7 @@ from areaguard.model import (
     audit_team_step,
     validate_instance,
 )
-from areaguard.nav import NavState, SnapshotMemo, next_move, observe_result
+from areaguard.nav import NavState, next_move, observe_result
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def run_simulation(
     if keep_trace:
         trace = [(0, "initial", config)]
 
-    # The free-cell mask and the cuts left by failed searches stay valid as
-    # long as nobody moves, which is the norm once the field gridlocks;
-    # carrying them across identical phases turns the per-round cost of
-    # fully stuck agents into a few mask tests.
+    # What one phase's searches learn about the occupied cells stays valid
+    # as long as nobody moves, which is the norm once the field gridlocks;
+    # carrying the memo across identical phases answers the replans of
+    # fully stuck agents without a search.
     last_occupied: set[Cell] = set()
     last_memo = SnapshotMemo()
 

@@ -226,30 +226,48 @@ def shortest_path(
     return find_path(grid, src, dst, forbidden)[0]
 
 
+class SnapshotMemo:
+    """What the find_path calls against one forbidden set share.
+
+    free is that set's free-cell mask, packed by the first search that
+    grows layers; cuts holds the cuts that failed searches report. See
+    find_path.
+    """
+
+    __slots__ = ("free", "cuts")
+
+    def __init__(self) -> None:
+        self.free: int | None = None
+        self.cuts: list[int] = []
+
+
 def find_path(
     grid: GridMap,
     src: Cell,
     dst: Cell,
     forbidden: Iterable[Cell] = (),
-    free: int | None = None,
-    keep_cut: Callable[[int], object] | None = None,
+    memo: SnapshotMemo | None = None,
 ) -> tuple[list[Cell] | None, list[int] | None]:
     """shortest_path variant for callers that search many times.
 
     Returns (path, None) when a route exists and (None, None) when dst
-    itself is forbidden or the bitmask layers (below) prove there is no
-    route. When the list breadth-first search from src finds no route it
-    returns (None, region) where region lists the indices of the cells
-    reachable from src with forbidden treated as blocked, each once, src
-    first. free, if given, must be free_mask(grid, forbidden); callers that
-    search many times against one forbidden set pack it once and pass it in.
+    itself is forbidden, when memo answers, or when the bitmask layers
+    (below) prove there is no route. When the list breadth-first search
+    from src finds no route it returns (None, region) where region lists
+    the indices of the cells reachable from src with forbidden treated as
+    blocked, each once, src first.
 
-    keep_cut, if given, is called once on every failure with dst free, with
-    a cut: the bitmask of a union of whole free components (passable cells
-    not in forbidden) that holds dst and no free neighbor of src, or every
-    free neighbor of src and not dst. Either way no route can cross it, so
-    a caller may keep cuts to answer later searches against the same
-    forbidden set without running them.
+    memo, if given, is one SnapshotMemo shared by every call against the
+    same grid and forbidden set; the answer is the same with or without it.
+    A failed search with dst free stores a cut in memo.cuts: the bitmask of
+    a union of whole free components (passable cells not in forbidden)
+    that holds dst and no free neighbor of src, or every free neighbor of
+    src and not dst. A route leaves src through a free neighbor in dst's
+    component, which lies wholly inside or wholly outside each cut, so a
+    later call whose dst is inside a cut holding none of src's free
+    neighbors, or outside one holding all of them, is answered without a
+    search, and so is a src with no free neighbor. memo keeps at most
+    BIT_BUDGET // (width*height) cuts, BIT_BUDGET bits in all.
 
     The search first grows the cells 1, 2, 3, ... steps from dst as
     bitmasks, one int bit per cell: layer k+1 is the free 4-neighbors of
@@ -267,14 +285,15 @@ def find_path(
     search grows at most BIT_BUDGET // (width*height) layers: 270 on a
     44x44 map, 128 on 64x64, 2 on 512x512, none past 2**19 cells. A search
     that reaches that bound hands over to the list breadth-first search
-    from src, and the bitmasks are dropped before it starts; its cut, when
-    it fails, is the region it reached, less src when src is forbidden.
-    When src and dst are more steps apart on the bare grid (Manhattan
-    distance) than that bound, the layers are skipped. So the kept layers
-    never exceed 64 KiB, and the time they take is bounded on any map. The
-    budget is that size because nearly every replan on the paper's 44-64
-    cell wide maps fits in it, while it stays below the list search's own
-    parent table, 8 bytes a cell, on any map of more than 8,192 cells.
+    from src, and the bitmasks it packed itself are dropped before that
+    starts; its cut, when it fails, is the region it reached, less src when
+    src is forbidden. When src and dst are more steps apart on the bare
+    grid (Manhattan distance) than that bound, the layers are skipped. So
+    the kept layers never exceed 64 KiB, and the time they take is bounded
+    on any map. The budget is that size because nearly every replan on the
+    paper's 44-64 cell wide maps fits in it, while it stays below the list
+    search's own parent table, 8 bytes a cell, on any map of more than
+    8,192 cells.
     """
     if not grid.is_passable(src):
         raise ValueError(f"path source {src} is not passable")
@@ -286,32 +305,51 @@ def find_path(
         forbidden = tuple(forbidden)
     if dst in forbidden:
         return None, None
+    if memo is not None:
+        w = grid.width
+        near = 0
+        for i in grid._nbr[src[0] + src[1] * w]:
+            if (i % w, i // w) not in forbidden:
+                near |= 1 << i
+        if not near:
+            return None, None
+        target = 1 << (dst[0] + dst[1] * w)
+        for cut in memo.cuts:
+            if cut & target:
+                if not cut & near:
+                    return None, None
+            elif cut & near == near:
+                return None, None
     max_layers = BIT_BUDGET // len(grid._nbr)
+    keep_cut = memo is not None and len(memo.cuts) < max_layers
     # No route is shorter than the Manhattan distance.
     if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) <= max_layers:
-        # A mask packed here is dropped before any flood.
-        if free is None:
-            free = free_mask(grid, forbidden)
+        if memo is None:
+            free = _free_mask(grid, forbidden)
+        elif memo.free is None:
+            free = memo.free = _free_mask(grid, forbidden)
+        else:
+            free = memo.free
         found = _layered_path(grid, src, dst, free, max_layers)
         del free
         if isinstance(found, list):
             return found, None
         if found is not None:
-            if keep_cut is not None:
-                keep_cut(found)
+            if keep_cut:
+                memo.cuts.append(found)
             return None, None
     path, region = _flood(grid, src, dst, forbidden)
-    if region is not None and keep_cut is not None:
+    if region is not None and keep_cut:
         flags = bytearray(len(grid._nbr))
         for i in region:
             flags[i] = 1
         if src in forbidden:
             flags[region[0]] = 0
-        keep_cut(_pack(flags))
+        memo.cuts.append(_pack(flags))
     return path, region
 
 
-def free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
+def _free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
     """Bitmask of grid's passable cells not in forbidden (bit i is cell i)."""
     if not forbidden:
         return grid._bits
@@ -393,25 +431,18 @@ def _flood(
     return None, queue
 
 
-def bfs_distance_table(world: World, src, forbidden: Iterable = ()) -> list[int]:
+def bfs_distance_table(world: World, src) -> list[int]:
     """BFS distances from src as a flat list indexed like world.index.
 
-    world is a GridMap or a model.AdjacencyGraph. Unreachable, blocked and
-    forbidden nodes all hold -1; src itself is never forbidden. Cheaper
-    than bfs_distances when only a few nodes are probed afterwards.
+    world is a GridMap or a model.AdjacencyGraph. Unreachable and blocked
+    nodes hold -1. Cheaper than bfs_distances when only a few nodes are
+    probed afterwards.
     """
     if not world.is_passable(src):
         raise ValueError(f"distance source {src} is not passable")
     nbr = world._nbr
-    index = world.index
-    # dist values: -2 forbidden, -1 unvisited, >=0 distance from src.
     dist = [-1] * len(nbr)
-    marked = False
-    for node in forbidden:
-        if world.is_passable(node):
-            dist[index(node)] = -2
-            marked = True
-    si = index(src)
+    si = world.index(src)
     dist[si] = 0
     queue = [si]
     push = queue.append
@@ -421,19 +452,17 @@ def bfs_distance_table(world: World, src, forbidden: Iterable = ()) -> list[int]
             if dist[v] == -1:
                 dist[v] = du
                 push(v)
-    if marked:
-        return [-1 if d == -2 else d for d in dist]
     return dist
 
 
-def bfs_distances(world: World, src, forbidden: Iterable = ()) -> dict:
+def bfs_distances(world: World, src) -> dict:
     """Map of every node reachable from src to its BFS distance.
 
     world is a GridMap or a model.AdjacencyGraph. Unreachable nodes are
-    absent; forbidden nodes (except src) are treated as blocked.
+    absent.
     """
     node = world.cell
-    table = bfs_distance_table(world, src, forbidden)
+    table = bfs_distance_table(world, src)
     return {node(i): d for i, d in enumerate(table) if d >= 0}
 
 

@@ -269,15 +269,6 @@ def apply_team_move(world: World, config: Configuration, move: TeamMove) -> Conf
     return Configuration(new_positions)
 
 
-def capture_state(config: Configuration, instance: Instance) -> frozenset[AgentId]:
-    """Attackers currently standing on their own target."""
-    return frozenset(
-        a
-        for a in instance.attackers
-        if config.positions.get(a) == instance.attacker_targets[a.index]
-    )
-
-
 def audit_team_step(
     world: World, before: Configuration, after: Configuration, team: Team
 ) -> list[str]:

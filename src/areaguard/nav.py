@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from areaguard.grid import BIT_BUDGET, Cell, GridMap, find_path, free_mask, shortest_path
+from areaguard.grid import Cell, GridMap, SnapshotMemo, find_path, shortest_path
 from areaguard.model import AgentId, Configuration
 
 STALL_REPLAN_THRESHOLD = 3
@@ -28,22 +28,6 @@ class NavState:
     goal: Cell | None
     plan: tuple[Cell, ...] = ()
     stalls: int = 0
-
-
-class SnapshotMemo:
-    """What the replans against one occupied snapshot share.
-
-    free is the snapshot's free-cell mask for grid.find_path, packed by the
-    first search that needs it; cuts holds the cuts that failed searches
-    report (see _search_with_memo), bitmasks of whole free components, at
-    most BIT_BUDGET bits of them in all.
-    """
-
-    __slots__ = ("free", "cuts")
-
-    def __init__(self) -> None:
-        self.free: int | None = None
-        self.cuts: list[int] = []
 
 
 def next_move(
@@ -64,10 +48,10 @@ def next_move(
     avoid rebuilding it per agent; it is read, never mutated. The agent's
     own cell may stay in it: plan heads are never the current cell and the
     path search ignores its source as an obstacle. Such callers may also
-    pass memo, one SnapshotMemo shared by all calls made against one
-    occupied snapshot: the snapshot's free-cell mask is packed once for all
-    its searches, and failed searches leave cuts that answer hopeless
-    replans in a crowded phase without a search.
+    pass memo, one grid.SnapshotMemo shared by all calls made against one
+    occupied snapshot, so that its replans share what find_path learns
+    about the snapshot and hopeless ones in a crowded phase are answered
+    without a search.
     """
     here = config.positions[nav.agent]
     if nav.goal is None or here == nav.goal:
@@ -91,54 +75,12 @@ def next_move(
     if memo is None:
         path = shortest_path(grid, here, nav.goal, forbidden=occupied)
     else:
-        path = _search_with_memo(grid, here, nav.goal, occupied, memo)
+        path = find_path(grid, here, nav.goal, occupied, memo)[0]
     if path is None:
         # Keep whatever plan we had; the blocker may move next step.
         return here, NavState(nav.agent, nav.goal, nav.plan, nav.stalls + 1)
     new_plan = tuple(path[1:])
     return new_plan[0], NavState(nav.agent, nav.goal, new_plan)
-
-
-def _search_with_memo(
-    grid: GridMap,
-    src: Cell,
-    dst: Cell,
-    occupied: set[Cell],
-    memo: SnapshotMemo,
-) -> list[Cell] | None:
-    """Path search (src != dst) that skips searches its cuts prove futile.
-
-    An occupied dst, or a src with no free neighbor, has no route and is
-    answered at once. memo.cuts holds the cuts that failed find_path calls
-    against one occupied snapshot reported: each is a union of whole free
-    components. A route leaves src through a free neighbor in dst's
-    component, and that component lies wholly inside or wholly outside
-    each cut. So when dst is inside a cut that holds no free neighbor of
-    src, or outside a cut that holds all of them, the search is skipped.
-    The answer is exactly what the full search would return, just cheaper.
-    Once the cuts fill BIT_BUDGET bits, failed searches add no more.
-    """
-    if dst in occupied:
-        return None
-    w = grid.width
-    near = 0
-    for ni in grid._nbr[src[0] + src[1] * w]:
-        if (ni % w, ni // w) not in occupied:
-            near |= 1 << ni
-    if not near:
-        return None
-    target = 1 << (dst[0] + dst[1] * w)
-    cuts = memo.cuts
-    for cut in cuts:
-        if cut & target:
-            if not cut & near:
-                return None
-        elif cut & near == near:
-            return None
-    if memo.free is None:
-        memo.free = free_mask(grid, occupied)
-    keep_cut = cuts.append if len(cuts) < BIT_BUDGET // len(grid._nbr) else None
-    return find_path(grid, src, dst, occupied, memo.free, keep_cut)[0]
 
 
 def observe_result(nav: NavState, proposed: Cell, before: Cell, after: Cell) -> NavState:

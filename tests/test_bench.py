@@ -205,3 +205,7 @@ def test_timeseries_rejects_unknown_case():
         timeseries_table(config, "nope", "1:2", "overlapped")
     with pytest.raises(ValueError):
         timeseries_table(config, "open", "1:3", "overlapped")
+    # SMALL_CONFIG has two runs, so run indices outside 0..1 name no instance.
+    for run_index in (2, 7, -1, -3):
+        with pytest.raises(ValueError, match=rf"run index {run_index} .*0\.\.1.*runs is 2"):
+            timeseries_table(config, "open", "1:2", "overlapped", run_index=run_index)

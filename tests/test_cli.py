@@ -342,6 +342,17 @@ BAD_DOCUMENTS = [
         "bench config map 1 'name' 'open' is already taken by an earlier map",
     ),
     ("bench", {**BENCH_DOC, "placements": ["diagonal"]}, "unknown placement 'diagonal'"),
+    ("bench", {**BENCH_DOC, "ratios": ["1:2", "1:3", "1:2"]}, "bench config 'ratios' repeats '1:2'"),
+    (
+        "bench",
+        {**BENCH_DOC, "placements": ["overlapped", "overlapped"]},
+        "bench config 'placements' repeats 'overlapped'",
+    ),
+    (
+        "bench",
+        {**BENCH_DOC, "strategies": ["greedy", "random", "greedy"]},
+        "bench config 'strategies' repeats 'greedy'",
+    ),
 ]
 
 

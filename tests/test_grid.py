@@ -11,11 +11,11 @@ from areaguard.grid import (
     BIT_BUDGET,
     GridMap,
     MapFormatError,
+    SnapshotMemo,
     bfs_distance_table,
     bfs_distances,
     dump_map,
     find_path,
-    free_mask,
     nearest_target_path,
     obstacle_components,
     parse_map,
@@ -134,12 +134,6 @@ def test_bfs_distances_hand_computed():
     }
 
 
-def test_bfs_distances_respects_forbidden():
-    corridor = grid_from_rows(["....."])
-    dist = bfs_distances(corridor, (0, 0), forbidden={(2, 0)})
-    assert dist == {(0, 0): 0, (1, 0): 1}
-
-
 def test_bfs_distances_on_an_adjacency_graph():
     # a - b - c - d, a - e - d, and f on its own; nodes are numbered by name.
     graph = AdjacencyGraph.from_edges(
@@ -149,9 +143,6 @@ def test_bfs_distances_on_an_adjacency_graph():
     assert [graph.cell(i) for i in range(6)] == list("abcdef")
     assert bfs_distances(graph, "a") == {"a": 0, "b": 1, "e": 1, "c": 2, "d": 2}
     assert bfs_distance_table(graph, "a") == [0, 1, 2, 2, 1, -1]
-    # Forbidding e sends the route to d the long way; the source is never forbidden.
-    assert bfs_distances(graph, "a", forbidden={"e", "a"}) == {"a": 0, "b": 1, "c": 2, "d": 3}
-    assert bfs_distance_table(graph, "a", forbidden={"e"}) == [0, 1, 2, 3, -1, -1]
     assert bfs_distances(graph, "f") == {"f": 0}
     with pytest.raises(ValueError):
         bfs_distance_table(graph, "z")
@@ -265,7 +256,8 @@ def test_find_path_is_the_lexicographically_first_shortest_path():
     # The routing contract: among shortest paths that avoid forbidden cells,
     # find_path returns the one whose N, S, W, E move sequence sorts first.
     # On these small maps the layers decide every failure: no region comes
-    # back, and the one cut reported is exactly dst's free component.
+    # back, and the one cut kept is exactly dst's free component. A src
+    # with no free neighbor is answered before any search and keeps none.
     rng = random.Random(4242)
     found = failed = 0
     for _ in range(400):
@@ -280,20 +272,20 @@ def test_find_path_is_the_lexicographically_first_shortest_path():
                     forbidden |= {(-1, 0), (grid.width, grid.height - 1)}
             src = rng.choice(sorted(forbidden & set(cells)) or cells)
             dst = rng.choice(cells)
-            cuts = []
-            path, region = find_path(grid, src, dst, forbidden, None, cuts.append)
+            memo = SnapshotMemo()
+            path, region = find_path(grid, src, dst, forbidden, memo)
             want, reached = _lex_min_path(grid, src, dst, forbidden - {src})
             assert path == want, (grid, src, dst, forbidden)
             assert region is None
             if path is not None:
                 found += 1
-                assert cuts == []
-            elif dst in forbidden and dst != src:
-                assert cuts == []
+                assert memo.cuts == []
+            elif (dst in forbidden and dst != src) or set(grid.neighbors(src)) <= forbidden:
+                assert memo.cuts == []
             else:
                 failed += 1
                 assert dst not in reached
-                assert cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
+                assert memo.cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
     assert found > 1000 and failed > 500
 
 
@@ -367,41 +359,45 @@ def test_find_path_past_the_bit_budget_hands_over_to_the_flood(monkeypatch, size
     for number, (cut, src, dst) in enumerate(queries):
         src, dst = corridor[src], corridor[dst]
         for forbidden in ({corridor[cut]}, {corridor[cut], src}):
-            cuts = []
+            memo = SnapshotMemo()
             floods = len(calls["_flood"])
-            path, region = find_path(grid, src, dst, forbidden, None, cuts.append)
+            path, region = find_path(grid, src, dst, forbidden, memo)
             want, reached = _lex_min_path(grid, src, dst, forbidden - {src})
             assert path is None and want is None
             assert reached == (set(corridor[:cut]) if src in corridor[:cut] else set(corridor[cut + 1 :]))
             if size == 64 and number == 1:
                 assert len(calls["_flood"]) == floods and region is None
-                assert cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
+                assert memo.cuts == [_mask(grid, _free_component(grid, dst, forbidden))]
             else:
                 assert len(calls["_flood"]) == floods + 1
                 assert region[0] == grid.index(src) and len(region) == len(set(region))
                 assert {grid.cell(i) for i in region} == reached
-                assert cuts == [_mask(grid, reached - forbidden)]
+                assert memo.cuts == [_mask(grid, reached - forbidden)]
 
 
-def test_find_path_gives_the_same_answer_with_a_caller_packed_mask():
+def test_find_path_gives_the_same_answer_with_a_memo():
+    # One memo serves every query against one forbidden set: it packs the
+    # free mask once and answers later queries from earlier cuts.
     rng = random.Random(2718)
-    found = failed = 0
+    found = failed = packed = 0
     for _ in range(200):
         grid = random_grid(rng, rng.randrange(1, 16), rng.randrange(1, 16), rng.uniform(0.0, 0.4))
         cells = list(grid.passable_cells())
         if not cells:
             continue
         forbidden = set(rng.sample(cells, rng.randrange(len(cells) + 1)))
-        free = free_mask(grid, forbidden)
-        assert free == sum(1 << grid.index(c) for c in cells if c not in forbidden)
+        memo = SnapshotMemo()
         for _ in range(10):
             src = rng.choice(sorted(forbidden) or cells)
             dst = rng.choice(cells)
-            got = find_path(grid, src, dst, forbidden, free)
+            got = find_path(grid, src, dst, forbidden, memo)
             assert got == find_path(grid, src, dst, forbidden), (grid, src, dst, forbidden)
             found += got[0] is not None
             failed += got[0] is None and dst not in forbidden
-    assert found > 300 and failed > 300
+        if memo.free is not None:
+            assert memo.free == sum(1 << grid.index(c) for c in cells if c not in forbidden)
+            packed += 1
+    assert found > 300 and failed > 300 and packed > 150
 
 
 def _peak_bytes(search):

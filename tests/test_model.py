@@ -15,7 +15,6 @@ from areaguard.model import (
     apply_team_move,
     attacker,
     audit_team_step,
-    capture_state,
     defender,
     instance_from_json,
     instance_to_json,
@@ -164,21 +163,6 @@ def test_resolution_is_deterministic_and_rule_clean():
         for agent, cell in out.positions.items():
             if cell != cfg.positions[agent]:
                 assert cell == desired[agent]
-
-
-def test_capture_state():
-    grid = grid_from_rows(["...."])
-    inst = Instance(
-        world=grid,
-        attacker_starts=((0, 0), (1, 0)),
-        attacker_targets=((3, 0), (2, 0)),
-        defender_starts=(),
-        time_limit=5,
-    )
-    cfg = Configuration({attacker(0): (2, 0), attacker(1): (1, 0)})
-    assert capture_state(cfg, inst) == frozenset()
-    cfg2 = Configuration({attacker(0): (3, 0), attacker(1): (2, 0)})
-    assert capture_state(cfg2, inst) == frozenset({attacker(0), attacker(1)})
 
 
 def test_validate_instance_diagnostics():

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import random
 
-from areaguard import nav as nav_module
-from areaguard.grid import find_path
+from areaguard import grid as grid_module
+from areaguard.grid import SnapshotMemo, find_path
 from areaguard.model import Configuration, attacker, defender
-from areaguard.nav import NavState, SnapshotMemo, _search_with_memo, next_move, observe_result
+from areaguard.nav import NavState, next_move, observe_result
 from helpers import grid_from_rows, random_grid
 
 
@@ -124,14 +124,21 @@ def _components(grid, occupied):
 
 def test_search_with_memo_matches_a_full_search(monkeypatch):
     # Sources sit on occupied cells, as the engine's agents do, and every
-    # query of one snapshot shares one memo.
+    # query of one snapshot shares one memo. A query is skipped when
+    # neither of find_path's searches runs.
     searches = []
 
-    def counted_find_path(*args):
-        searches.append(args)
-        return find_path(*args)
+    def counted(name):
+        search = getattr(grid_module, name)
 
-    monkeypatch.setattr(nav_module, "find_path", counted_find_path)
+        def wrapper(*args):
+            searches.append(args)
+            return search(*args)
+
+        return wrapper
+
+    for name in ("_layered_path", "_flood"):
+        monkeypatch.setattr(grid_module, name, counted(name))
     rng = random.Random(8128)
     queries = skipped = free_targets = boxed_in = cuts_checked = 0
     for _ in range(150):
@@ -145,16 +152,17 @@ def test_search_with_memo_matches_a_full_search(monkeypatch):
         for _ in range(40):
             src = rng.choice(sources)
             dst = rng.choice([c for c in cells if c != src])
-            searched = len(searches)
-            got = _search_with_memo(grid, src, dst, occupied, memo)
+            before = len(searches)
+            got = find_path(grid, src, dst, occupied, memo)[0]
+            searched = len(searches) > before
             assert got == find_path(grid, src, dst, occupied)[0], (grid, src, dst, occupied)
             queries += 1
             if dst in occupied:
                 # No route ends on an occupied cell: answered without a search.
-                assert len(searches) == searched
+                assert not searched
             else:
                 free_targets += 1
-                skipped += len(searches) == searched
+                skipped += not searched
             boxed_in += all(nb in occupied for nb in grid.neighbors(src))
         # Every cut kept is exactly a union of free components: each
         # component lies wholly inside it or wholly outside.
