@@ -22,6 +22,9 @@ argument.
   (rooms3, ruins3 and the islands stand-in; ratios 1:1, 1:2 and 1:10;
   both placements; all four strategies: 72 simulations), instance
   generation included, through run_bench with one job.
+- solve: the exact solver on the reduction of the false formula
+  "forall x1. (x1)" (23 nodes, 369,262 states), then on the eight
+  hand-solved micro games of acceptance criterion 7, each solved once.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("criterion10", "matrix_cells")
+WORKLOADS = ("criterion10", "matrix_cells", "solve")
 
 ROOMS44 = {"kind": "rooms", "width": 44, "height": 44, "rooms_x": 3, "rooms_y": 3, "door_width": 1}
 MATRIX_CELLS = {
@@ -53,6 +56,19 @@ MATRIX_CELLS = {
         {"name": "islands", "map": {"kind": "file", "path": "maps/islands_standin.map"}},
     ],
 }
+
+# Acceptance criterion 7's games on open grids: (width, height), attacker
+# starts, targets, defender starts.
+MICRO_GAMES = [
+    ((4, 1), [(0, 0)], [(3, 0)], []),
+    ((4, 1), [(0, 0)], [(3, 0)], [(3, 0)]),
+    ((6, 1), [(0, 0)], [(5, 0)], [(3, 0)]),
+    ((4, 1), [(1, 0)], [(3, 0)], [(0, 0)]),
+    ((3, 1), [(0, 0)], [(0, 0)], [(2, 0)]),
+    ((2, 2), [(0, 0)], [(1, 1)], [(1, 0)]),
+    ((7, 1), [(0, 0)], [(3, 0)], [(6, 0)]),
+    ((3, 2), [(0, 0)], [(2, 0)], [(1, 0), (1, 1)]),
+]
 
 
 def _sample(workload: str) -> float:
@@ -72,6 +88,26 @@ def _sample(workload: str) -> float:
         instance = generate_instance(spec, 42)
         start = time.perf_counter()
         run_simulation(instance, "greedy", derive_allocation_seed(42, "greedy"))
+        return time.perf_counter() - start
+    if workload == "solve":
+        from areaguard.grid import GridMap
+        from areaguard.model import Instance
+        from areaguard.qbf import parse_qdimacs, reduce_to_instance
+        from areaguard.solver import solve_decision_game
+
+        games = [reduce_to_instance(parse_qdimacs("p cnf 1 1\na 1 0\n1 0\n"))] + [
+            Instance(
+                world=GridMap(*size),
+                attacker_starts=tuple(attackers),
+                attacker_targets=tuple(targets),
+                defender_starts=tuple(defenders),
+                time_limit=1,
+            )
+            for size, attackers, targets, defenders in MICRO_GAMES
+        ]
+        start = time.perf_counter()
+        for instance in games:
+            solve_decision_game(instance)
         return time.perf_counter() - start
     from areaguard.bench import config_from_json, run_bench
 

@@ -5,7 +5,8 @@ attacker ever stand on its own target? Attackers move as one joint action,
 then defenders, alternating forever. Reaching a target wins immediately
 for the attackers; stalling forever wins for the defenders, which makes
 this a reachability game decided by a backward attractor sweep over the
-forward-reachable state space.
+forward-reachable state space. The game is unbounded: Instance.time_limit
+is ignored, so a verdict holds for play of any length.
 
 State counts explode factorially in agents and vertices, so the solver
 refuses anything whose upper bound exceeds its budget instead of running
@@ -21,7 +22,6 @@ from typing import Hashable, Iterator
 from areaguard.model import Instance, Team, validate_instance
 
 Node = Hashable
-State = tuple[tuple[Node, ...], int]
 
 
 class BudgetExceeded(ValueError):
@@ -88,42 +88,75 @@ def solve_decision_game(instance: Instance, state_budget: int = 5_000_000) -> So
             "the exact solver only handles micro instances"
         )
     world = instance.world
-    na = instance.n_attackers
-    targets = instance.attacker_targets
+    index, cell, nbr = world.index, world.cell, world._nbr
+    n = len(nbr)
+    na, nd = instance.n_attackers, instance.n_defenders
+    base = n**nd
+    goals = [index(t) for t in instance.attacker_targets]
 
-    def captured(positions: tuple[Node, ...]) -> bool:
-        return any(positions[i] == targets[i] for i in range(na))
+    # A state is the int (A * n**nd + D) * 2 + phase, where A and D code
+    # each team's cell indices in radix n, first agent lowest. Each team
+    # code gets one entry on first sight, the tuple (cells as node labels,
+    # mask of the cells next to them (the halo), mask of the cells they
+    # hold, whether an attacker stands on its target, moves), where moves
+    # maps each set of other-team cells in the halo to the successor
+    # offsets of the team's legal joint moves. The move rules themselves
+    # live in enumerate_team_moves. No list is empty, since staying put is
+    # always legal.
+    def code_of(cells) -> int:
+        return sum(index(c) * n**i for i, c in enumerate(cells))
 
-    initial: State = (tuple(instance.attacker_starts) + tuple(instance.defender_starts), 0)
+    def entry(code: int, k: int, targets: list[int]) -> tuple:
+        cells = []
+        for _ in range(k):
+            code, i = divmod(code, n)
+            cells.append(i)
+        halo = 0
+        for i in cells:
+            for j in nbr[i]:
+                halo |= 1 << j
+        won = any(i == t for i, t in zip(cells, targets))
+        return tuple(map(cell, cells)), halo, sum(1 << i for i in cells), won, {}
+
+    def offsets(own: tuple, others: tuple, code: int, scale: int, shift: int) -> list[int]:
+        out = [
+            (code_of(joint) - code) * scale + shift
+            for joint in enumerate_team_moves(world, own[0], frozenset(others[0]))
+        ]
+        own[4][others[2] & own[1]] = out
+        return out
+
+    initial = (code_of(instance.attacker_starts) * base + code_of(instance.defender_starts)) * 2
     # The keys of predecessors double as the visited set. Captured states
     # seed the attractor as they are popped; pending counts the moves of
     # each defender-phase state that are not yet known to lose.
-    predecessors: dict[State, list[State]] = {initial: []}
-    attracted: set[State] = set()
-    pending: dict[State, int] = {}
-    frontier: deque[State] = deque((initial,))
+    predecessors: dict[int, list[int]] = {initial: []}
+    attracted: set[int] = set()
+    pending: dict[int, int] = {}
+    frontier: deque[int] = deque((initial,))
+    attackers: dict[int, tuple] = {}
+    defenders: dict[int, tuple] = {}
     while frontier:
         state = frontier.popleft()
-        positions, phase = state
-        if captured(positions):
+        a, d = divmod(state >> 1, base)
+        att = attackers.get(a) or attackers.setdefault(a, entry(a, na, goals))
+        if att[3]:
             attracted.add(state)
             continue
-        if phase == 0:
-            own, others = positions[:na], positions[na:]
+        dfd = defenders.get(d) or defenders.setdefault(d, entry(d, nd, []))
+        if state & 1:
+            moves = dfd[4].get(att[2] & dfd[1]) or offsets(dfd, att, d, 2, -1)
+            pending[state] = len(moves)
         else:
-            own, others = positions[na:], positions[:na]
-        moves = 0
-        for joint in enumerate_team_moves(world, own, frozenset(others)):
-            nxt: State = (joint + others, 1) if phase == 0 else (others + joint, 0)
-            moves += 1
+            moves = att[4].get(dfd[2] & att[1]) or offsets(att, dfd, a, 2 * base, 1)
+        for move in moves:
+            nxt = state + move
             prevs = predecessors.get(nxt)
             if prevs is None:
                 predecessors[nxt] = [state]
                 frontier.append(nxt)
             else:
                 prevs.append(state)
-        if phase == 1:
-            pending[state] = moves
 
     worklist = deque(attracted)
     while worklist:
@@ -131,7 +164,7 @@ def solve_decision_game(instance: Instance, state_budget: int = 5_000_000) -> So
         for prev in predecessors[state]:
             if prev in attracted:
                 continue
-            if prev[1] == 0:
+            if not prev & 1:
                 attracted.add(prev)
                 worklist.append(prev)
             else:

@@ -1,8 +1,10 @@
 """Exact decision-game solver tests on hand-solved micro fixtures."""
 import random
+from collections import deque
 
 import pytest
 
+import areaguard.solver
 from areaguard.model import (
     AdjacencyGraph,
     Configuration,
@@ -20,7 +22,7 @@ from areaguard.solver import (
     solve_decision_game,
     state_space_bound,
 )
-from helpers import grid_from_rows
+from helpers import grid_from_rows, random_grid
 
 
 def grid_instance(rows, attackers, targets, defenders):
@@ -172,3 +174,105 @@ def test_enumerated_moves_match_movement_kernel():
             )
             if fully_granted:
                 assert got in legal
+
+
+def reference_solve(instance):
+    """(winner, states) from the attractor over label-tuple states, one
+    enumerate_team_moves call per expanded state."""
+    na = instance.n_attackers
+    targets = instance.attacker_targets
+    initial = (tuple(instance.attacker_starts) + tuple(instance.defender_starts), 0)
+    predecessors = {initial: []}
+    attracted, pending = set(), {}
+    frontier = deque((initial,))
+    while frontier:
+        state = frontier.popleft()
+        positions, phase = state
+        if any(positions[i] == targets[i] for i in range(na)):
+            attracted.add(state)
+            continue
+        own, others = positions[:na], positions[na:]
+        if phase == 1:
+            own, others = others, own
+        moves = list(enumerate_team_moves(instance.world, own, frozenset(others)))
+        for joint in moves:
+            nxt = (joint + others, 1) if phase == 0 else (others + joint, 0)
+            if nxt not in predecessors:
+                predecessors[nxt] = []
+                frontier.append(nxt)
+            predecessors[nxt].append(state)
+        if phase == 1:
+            pending[state] = len(moves)
+    worklist = deque(attracted)
+    while worklist:
+        for prev in predecessors[worklist.popleft()]:
+            if prev in attracted:
+                continue
+            if prev[1] == 1:
+                pending[prev] -= 1
+                if pending[prev]:
+                    continue
+            attracted.add(prev)
+            worklist.append(prev)
+    winner = Team.ATTACKERS if initial in attracted else Team.DEFENDERS
+    return winner, len(predecessors)
+
+
+def random_micro_game(rng):
+    na, nd = rng.randint(1, 2), rng.randint(1, 2)
+    while True:
+        if rng.random() < 0.2:
+            nodes = [f"n{i}" for i in range(rng.randint(5, 9))]
+            edges = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if rng.random() < 0.35]
+            world = AdjacencyGraph.from_edges(nodes, edges)
+        else:
+            world = random_grid(rng, rng.randint(2, 3), rng.randint(2, 4), 0.2)
+        cells = list(world.nodes())
+        if len(cells) >= 2 * na + nd:
+            break
+    # Targets avoid the attacker starts, so no game is won before a move.
+    starts = rng.sample(cells, na + nd)
+    targets = rng.sample([c for c in cells if c not in starts[:na]], na)
+    return Instance(
+        world=world,
+        attacker_starts=tuple(starts[:na]),
+        attacker_targets=tuple(targets),
+        defender_starts=tuple(starts[na:]),
+        time_limit=1,
+    )
+
+
+def test_solver_matches_the_label_tuple_reference():
+    rng = random.Random(1414)
+    winners = set()
+    for _ in range(40):
+        inst = random_micro_game(rng)
+        result = solve_decision_game(inst)
+        assert (result.winner, result.states) == reference_solve(inst), inst
+        winners.add(result.winner)
+    assert winners == {Team.ATTACKERS, Team.DEFENDERS}
+
+
+def test_false_one_variable_formula_is_won_by_the_defenders():
+    # The reduction of "forall x1. (x1)", the largest game any test solves.
+    inst = reduce_to_instance(parse_qdimacs("p cnf 1 1\na 1 0\n1 0\n"))
+    result = solve_decision_game(inst)
+    assert result.winner is Team.DEFENDERS
+    assert result.states == 369_262
+
+
+def test_solver_calls_the_module_level_move_enumerator(monkeypatch):
+    # Tracers wrap areaguard.solver.enumerate_team_moves by rebinding it,
+    # so the solver must look the name up rather than hold the function.
+    calls = []
+
+    def counting(world, own, frozen):
+        calls.append(own)
+        return enumerate_team_moves(world, own, frozen)
+
+    monkeypatch.setattr(areaguard.solver, "enumerate_team_moves", counting)
+    inst = grid_instance(["...", "..."], [(0, 0)], [(2, 0)], [(1, 0), (1, 1)])
+    result = solve_decision_game(inst)
+    assert result.winner is Team.DEFENDERS
+    assert result.states == 218
+    assert len(calls) >= 1
