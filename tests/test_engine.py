@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +276,33 @@ def test_crowded_two_room_outputs_are_pinned(monkeypatch):
     assert runs == 8
     assert floods == []
     assert digest == "21886c38665881566b9bd17645a33fae08f4dd312562ad4ff276790407cb6c53"
+
+
+MAPS = Path(__file__).resolve().parent.parent / "maps"
+
+
+def test_acceptance_sized_outputs_are_pinned():
+    # 100 attackers on the 44x44 rooms3 map and the islands stand-in, at
+    # 1:1 and 1:10, where most replans succeed on long layered routes. The
+    # digest pins result_to_json and every phase's positions (in agent
+    # order, attackers first) of all four strategies, one seed per case.
+    rooms3 = MapSpec("rooms", 44, 44, 3, 3, 1)
+    islands = MapSpec("file", path="islands_standin.map")
+    cases = [
+        (ScenarioSpec(rooms3, 100, 100, 150, "separated"), 11),
+        (ScenarioSpec(rooms3, 100, 10, 150, "overlapped"), 12),
+        (ScenarioSpec(islands, 100, 100, 150, "overlapped"), 13),
+        (ScenarioSpec(islands, 100, 10, 150, "separated"), 14),
+    ]
+    digest = hashlib.sha256()
+    runs = 0
+    for spec, seed in cases:
+        inst = generate_instance(spec, seed, MAPS)
+        agents = inst.attackers + inst.defenders
+        for strategy in STRATEGIES:
+            res = run_simulation(inst, strategy, seed, keep_trace=True)
+            trace = [[step, phase, [list(cfg.positions[a]) for a in agents]] for step, phase, cfg in res.trace]
+            digest.update(json.dumps([result_to_json(res), trace], sort_keys=True).encode())
+            runs += 1
+    assert runs == 16
+    assert digest.hexdigest() == "5be440d8e2542b1c58741888a9952683c4875971134606d3a5d85922dcbfce7c"
