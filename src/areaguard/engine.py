@@ -6,6 +6,12 @@ holds its start when unassigned) and stays there once arrived. An attacker
 that reaches its target is captured: it freezes on the spot and stops
 counting as active. The run ends after the configured number of rounds or
 as soon as every attacker is captured.
+
+The round loop runs on cell indices: one list of positions (attackers
+first) with an occupant table, and plain lists of goals, plans and stall
+counts. Each phase is one nav.plan_moves, one model.resolve_moves and one
+nav.observe_moves call. AgentId labels and Configurations appear only in
+the result, its trace and the audit.
 """
 from __future__ import annotations
 
@@ -13,19 +19,21 @@ import time
 from dataclasses import dataclass
 
 from areaguard.allocate import Allocation, allocate_for
-from areaguard.grid import Cell, GridMap, SnapshotMemo, shortest_path
+from areaguard.grid import GridMap, SnapshotMemo, shortest_path
 from areaguard.model import (
     AgentId,
     Configuration,
     Instance,
     RuleViolation,
     Team,
-    TeamMove,
-    apply_team_move,
     audit_team_step,
+    resolve_moves,
     validate_instance,
 )
-from areaguard.nav import NavState, next_move, observe_result
+from areaguard.nav import observe_moves, plan_moves
+# Unused here; perfbench/tracing.py rebinds these names (ROADMAP item 1).
+from areaguard.model import apply_team_move  # noqa: F401
+from areaguard.nav import next_move  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,82 +114,77 @@ def run_simulation(
         raise ValueError("invalid instance: " + "; ".join(problems))
     if allocation is None:
         allocation = allocate_for(instance, strategy, seed)
+    na, nd = instance.n_attackers, instance.n_defenders
+    for i, goal in allocation.items():
+        if 0 <= i < nd and not grid.is_passable(goal):
+            raise ValueError(f"allocation sends d{i} to {goal!r}, which is not passable")
 
-    attackers = instance.attackers
-    defenders = instance.defenders
-    navs: dict[AgentId, NavState] = {}
-    for agent in attackers:
-        navs[agent] = NavState(agent, goal=instance.target_of(agent))
-    for agent in defenders:
-        navs[agent] = NavState(agent, goal=allocation.get(agent.index))
+    index = grid.index
+    pos = [index(c) for c in instance.attacker_starts + instance.defender_starts]
+    occupant = [-1] * len(grid._nbr)
+    for a, c in enumerate(pos):
+        occupant[c] = a
+    goals = [index(c) for c in instance.attacker_targets]
+    goals += [index(allocation[i]) if i in allocation else -1 for i in range(nd)]
+    plans: list = [()] * len(pos)
+    stalls = [0] * len(pos)
+    agents = instance.attackers + instance.defenders
+    # The round each agent first stands on its goal; 0 until then.
+    arrival = [0] * len(pos)
 
-    config = instance.initial_configuration()
-    captured: dict[AgentId, int] = {}
-    defender_arrivals: dict[AgentId, int] = {}
-    trace: list[tuple[int, str, Configuration]] | None = None
-    if keep_trace:
-        trace = [(0, "initial", config)]
+    def configuration() -> Configuration:
+        return Configuration({agent: grid.cell(c) for agent, c in zip(agents, pos)})
+
+    config = configuration() if keep_trace or audit else None
+    trace = [(0, "initial", config)] if keep_trace else None
 
     # What one phase's searches learn about the occupied cells stays valid
     # as long as nobody moves, which is the norm once the field gridlocks;
-    # carrying the memo across identical phases answers the replans of
-    # fully stuck agents without a search.
-    last_occupied: set[Cell] = set()
-    last_memo = SnapshotMemo()
+    # carrying the memo across such phases answers the replans of fully
+    # stuck agents without a search.
+    occupied = set(pos)
+    memo = SnapshotMemo()
 
-    def phase(team_agents: list[AgentId], team: Team, round_no: int) -> Configuration:
-        nonlocal config, last_occupied, last_memo
-        occupied = set(config.positions.values())
-        memo = last_memo if occupied == last_occupied else SnapshotMemo()
-        last_occupied, last_memo = occupied, memo
-        proposals: dict[AgentId, Cell] = {}
-        for agent in team_agents:
-            if agent in captured:
-                proposals[agent] = config.positions[agent]
-                continue
-            desired, navs[agent] = next_move(
-                navs[agent], config, grid, occupied=occupied, memo=memo
-            )
-            proposals[agent] = desired
-        after = apply_team_move(grid, config, TeamMove(team, proposals))
-        if audit:
-            violations = audit_team_step(grid, config, after, team)
-            if violations:
-                raise RuleViolation(f"round {round_no} {team.name}: " + "; ".join(violations))
-        for agent in team_agents:
-            if agent in captured:
-                continue
-            navs[agent] = observe_result(
-                navs[agent], proposals[agent], config.positions[agent], after.positions[agent]
-            )
-        if trace is not None:
-            trace.append((round_no, team.name.lower(), after))
-        return after
+    def phase(lo: int, hi: int, team: Team, round_no: int) -> None:
+        nonlocal config, occupied, memo
+        moves = plan_moves(grid, pos, lo, hi, goals, plans, stalls, occupied, memo)
+        granted = resolve_moves(pos, occupant, lo, hi, moves)
+        observe_moves(pos, lo, moves, granted, plans, stalls)
+        for a in range(lo, hi):
+            if not arrival[a] and pos[a] == goals[a]:
+                arrival[a] = round_no
+        if granted:
+            occupied = set(pos)
+            memo = SnapshotMemo()
+        if config is not None:
+            after = configuration()
+            if audit:
+                violations = audit_team_step(grid, config, after, team)
+                if violations:
+                    raise RuleViolation(f"round {round_no} {team.name}: " + "; ".join(violations))
+            if trace is not None:
+                trace.append((round_no, team.name.lower(), after))
+            config = after
 
     rounds = 0
     for t in range(1, instance.time_limit + 1):
         rounds = t
-        config = phase(attackers, Team.ATTACKERS, t)
-        for agent in attackers:
-            if agent not in captured and config.positions[agent] == instance.target_of(agent):
-                captured[agent] = t
-        config = phase(defenders, Team.DEFENDERS, t)
-        for agent in defenders:
-            goal = allocation.get(agent.index)
-            if goal is not None and agent not in defender_arrivals and config.positions[agent] == goal:
-                defender_arrivals[agent] = t
-        if len(captured) == instance.n_attackers:
+        phase(0, na, Team.ATTACKERS, t)
+        phase(na, na + nd, Team.DEFENDERS, t)
+        if 0 not in arrival[:na]:
             break
 
+    final = config or configuration()
+    captured = {agents[a]: arrival[a] for a in range(na) if arrival[a]}
     return SimResult(
         strategy=strategy,
         seed=seed,
         allocation=allocation,
         captured=captured,
-        defender_arrivals=defender_arrivals,
-        final=config,
+        defender_arrivals={agents[a]: arrival[a] for a in range(na, na + nd) if arrival[a]},
+        final=final,
         rounds=rounds,
-        metrics=compute_metrics(instance, config, captured),
+        metrics=compute_metrics(instance, final, captured),
         trace=trace,
     )
 

@@ -8,6 +8,8 @@ fixed order N, S, W, E so tie-breaking is deterministic everywhere.
 
 The distance searches also run on a model.AdjacencyGraph, which offers the
 same integer interface: index(node), cell(i) and the neighbor-index table.
+route searches paths on cell indices (x + y * width), as the engine keeps
+them; find_path and shortest_path are its forms for cell callers.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ Cell = tuple[int, int]
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
 
-# Bits of search layers one find_path call may hold, 64 KiB; find_path says why.
+# Bits of search layers one route call may hold, 64 KiB; route says why.
 BIT_BUDGET = 1 << 19
 
 _BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
@@ -42,7 +44,7 @@ class GridMap:
 
     A flat neighbor table is precomputed per instance so breadth-first
     searches run on integer indices, and so are three cell bitmasks for
-    find_path, bit i standing for cell i: the passable cells, the ones a
+    route, bit i standing for cell i: the passable cells, the ones a
     west step may land on (not in the last column, which a one-bit shift
     would wrap into) and the ones an east step may land on (not in the
     first column). Nothing is cached on the grid after construction; treat
@@ -227,11 +229,11 @@ def shortest_path(
 
 
 class SnapshotMemo:
-    """What the find_path calls against one forbidden set share.
+    """What the route calls against one forbidden set share.
 
     free is that set's free-cell mask, packed by the first search that
     grows layers; cuts holds the cuts that failed searches report. See
-    find_path.
+    route.
     """
 
     __slots__ = ("free", "cuts")
@@ -248,14 +250,31 @@ def find_path(
     forbidden: Iterable[Cell] = (),
     memo: SnapshotMemo | None = None,
 ) -> tuple[list[Cell] | None, list[int] | None]:
-    """shortest_path variant for callers that search many times.
+    """route on cells, for callers that search many times; src and dst must be passable."""
+    if not grid.is_passable(src):
+        raise ValueError(f"path source {src} is not passable")
+    if not grid.is_passable(dst):
+        raise ValueError(f"path target {dst} is not passable")
+    w, h = grid.width, grid.height
+    blocked = {x + y * w for x, y in forbidden if 0 <= x < w and 0 <= y < h}
+    path, region = route(grid, grid.index(src), grid.index(dst), blocked, memo)
+    return (None if path is None else [grid.cell(i) for i in path]), region
+
+
+def route(
+    grid: GridMap, src: int, dst: int, blocked, memo: SnapshotMemo | None = None
+) -> tuple[list[int] | None, list[int] | None]:
+    """The forbidden-cell path search on cell indices, behind find_path.
+
+    src and dst are passable cell indices and blocked is the set of the
+    forbidden ones. A path comes back as cell indices, src first.
 
     Returns (path, None) when a route exists and (None, None) when dst
     itself is forbidden, when memo answers, or when the bitmask layers
     (below) prove there is no route. When the list breadth-first search
     from src finds no route it returns (None, region) where region lists
-    the indices of the cells reachable from src with forbidden treated as
-    blocked, each once, src first.
+    the indices of the cells reachable from src with forbidden cells treated
+    as blocked, each once, src first.
 
     memo, if given, is one SnapshotMemo shared by every call against the
     same grid and forbidden set; the answer is the same with or without it.
@@ -295,39 +314,34 @@ def find_path(
     search's own parent table, 8 bytes a cell, on any map of more than
     8,192 cells.
     """
-    if not grid.is_passable(src):
-        raise ValueError(f"path source {src} is not passable")
-    if not grid.is_passable(dst):
-        raise ValueError(f"path target {dst} is not passable")
     if src == dst:
         return [src], None
-    if not isinstance(forbidden, (set, frozenset)):
-        forbidden = tuple(forbidden)
-    if dst in forbidden:
+    if dst in blocked:
         return None, None
+    nbr = grid._nbr
     if memo is not None:
-        w = grid.width
         near = 0
-        for i in grid._nbr[src[0] + src[1] * w]:
-            if (i % w, i // w) not in forbidden:
+        for i in nbr[src]:
+            if i not in blocked:
                 near |= 1 << i
         if not near:
             return None, None
-        target = 1 << (dst[0] + dst[1] * w)
+        target = 1 << dst
         for cut in memo.cuts:
             if cut & target:
                 if not cut & near:
                     return None, None
             elif cut & near == near:
                 return None, None
-    max_layers = BIT_BUDGET // len(grid._nbr)
+    max_layers = BIT_BUDGET // len(nbr)
     keep_cut = memo is not None and len(memo.cuts) < max_layers
+    w = grid.width
     # No route is shorter than the Manhattan distance.
-    if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) <= max_layers:
+    if abs(src % w - dst % w) + abs(src // w - dst // w) <= max_layers:
         if memo is None:
-            free = _free_mask(grid, forbidden)
+            free = _free_mask(grid, blocked)
         elif memo.free is None:
-            free = memo.free = _free_mask(grid, forbidden)
+            free = memo.free = _free_mask(grid, blocked)
         else:
             free = memo.free
         found = _layered_path(grid, src, dst, free, max_layers)
@@ -338,32 +352,27 @@ def find_path(
             if keep_cut:
                 memo.cuts.append(found)
             return None, None
-    path, region = _flood(grid, src, dst, forbidden)
+    path, region = _flood(grid, src, dst, blocked)
     if region is not None and keep_cut:
-        flags = bytearray(len(grid._nbr))
+        flags = bytearray(len(nbr))
         for i in region:
             flags[i] = 1
-        if src in forbidden:
-            flags[region[0]] = 0
+        if src in blocked:
+            flags[src] = 0
         memo.cuts.append(_pack(flags))
     return path, region
 
 
-def _free_mask(grid: GridMap, forbidden: Iterable[Cell]) -> int:
-    """Bitmask of grid's passable cells not in forbidden (bit i is cell i)."""
-    if not forbidden:
-        return grid._bits
-    w, h = grid.width, grid.height
-    marks = bytearray((w * h + 7) >> 3)
-    for x, y in forbidden:
-        if 0 <= x < w and 0 <= y < h:
-            i = x + y * w
-            marks[i >> 3] |= 1 << (i & 7)
+def _free_mask(grid: GridMap, blocked) -> int:
+    """Bitmask of grid's passable cells whose indices blocked does not hold."""
+    marks = bytearray((len(grid._nbr) + 7) >> 3)
+    for i in blocked:
+        marks[i >> 3] |= 1 << (i & 7)
     return grid._bits & ~int.from_bytes(marks, "little")
 
 
-def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: int) -> list[Cell] | int | None:
-    """find_path's bitmask search.
+def _layered_path(grid: GridMap, src: int, dst: int, free: int, max_layers: int) -> list[int] | int | None:
+    """route's bitmask search.
 
     Returns the path, or dst's free component as a bitmask when the layers
     run out before they touch src, or None once max_layers layers are grown.
@@ -371,8 +380,8 @@ def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: in
     w = grid.width
     west = grid._west
     east = grid._east
-    src_bit = 1 << (src[0] + src[1] * w)
-    layer = 1 << (dst[0] + dst[1] * w)
+    src_bit = 1 << src
+    layer = 1 << dst
     unseen = free & ~layer
     layers = []
     for _ in range(max_layers):
@@ -381,12 +390,12 @@ def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: in
         if near & src_bit:
             nbr = grid._nbr
             path = [src]
-            here = src[0] + src[1] * w
+            here = src
             for layer in reversed(layers):
                 for here in nbr[here]:
                     if layer >> here & 1:
                         break
-                path.append((here % w, here // w))
+                path.append(here)
             return path
         layer = near & unseen
         if not layer:
@@ -395,22 +404,15 @@ def _layered_path(grid: GridMap, src: Cell, dst: Cell, free: int, max_layers: in
     return None
 
 
-def _flood(
-    grid: GridMap, src: Cell, dst: Cell, forbidden: Iterable[Cell]
-) -> tuple[list[Cell] | None, list[int] | None]:
-    """find_path's list breadth-first search from src; takes the same checked arguments."""
-    w = grid.width
-    h = grid.height
-    si = src[0] + src[1] * w
-    di = dst[0] + dst[1] * w
-    # parent values: -3 forbidden, -2 unvisited, -1 search root, >=0 parent index.
-    parent = [-2] * (w * h)
-    for x, y in forbidden:
-        if 0 <= x < w and 0 <= y < h:
-            parent[x + y * w] = -3
-    parent[si] = -1
-    queue = [si]
+def _flood(grid: GridMap, src: int, dst: int, blocked) -> tuple[list[int] | None, list[int] | None]:
+    """route's list breadth-first search from src; takes the same checked arguments."""
     nbr = grid._nbr
+    # parent values: -3 blocked, -2 unvisited, -1 search root, >=0 parent index.
+    parent = [-2] * len(nbr)
+    for i in blocked:
+        parent[i] = -3
+    parent[src] = -1
+    queue = [src]
     push = queue.append
     # Iterating the list while appending to it visits cells in FIFO order.
     for u in queue:
@@ -418,12 +420,11 @@ def _flood(
             if parent[v] != -2:
                 continue
             parent[v] = u
-            if v == di:
+            if v == dst:
                 path = []
-                cur = v
-                while cur != -1:
-                    path.append((cur % w, cur // w))
-                    cur = parent[cur]
+                while v != -1:
+                    path.append(v)
+                    v = parent[v]
                 path.reverse()
                 return path, None
             push(v)

@@ -11,7 +11,10 @@ follows three rules, enforced per team phase:
 
 The world is usually a GridMap; reduction outputs use an explicit
 AdjacencyGraph instead. The simulation engine only accepts grids, the
-exact solver accepts both.
+exact solver accepts both. resolve_moves applies the rules on cell
+indices (world.index), the form the engine keeps positions in;
+apply_team_move and audit_team_step take AgentId labels and
+Configurations, which the engine builds only for traces and audits.
 """
 from __future__ import annotations
 
@@ -164,9 +167,6 @@ class Configuration:
     def team_agents(self, team: Team) -> list[AgentId]:
         return sorted(a for a in self.positions if a.team is team)
 
-    def occupied_cells(self) -> set[Node]:
-        return set(self.positions.values())
-
 
 @dataclass
 class TeamMove:
@@ -205,15 +205,10 @@ def validate_instance(instance: Instance) -> list[str]:
 
 
 def apply_team_move(world: World, config: Configuration, move: TeamMove) -> Configuration:
-    """Resolve one team's simultaneous move under the movement rules.
+    """resolve_moves on labels: one team's simultaneous move, as a new configuration.
 
-    The other team's agents are frozen obstacles for the phase. Moves into
-    free cells are granted first and the grant set grows to a fixpoint, so
-    chains into vacated cells and rotations of length >= 3 execute while
-    pairwise swaps never do. When two agents of the team want the same cell
-    the lower agent index wins; everyone whose move is not granted stays
-    put. Ill-formed proposals (wrong agent set, non-adjacent or impassable
-    cell) raise ValueError.
+    Ill-formed proposals (wrong agent set, non-adjacent or impassable cell)
+    raise ValueError.
     """
     pos = config.positions
     team_agents = config.team_agents(move.team)
@@ -229,44 +224,59 @@ def apply_team_move(world: World, config: Configuration, move: TeamMove) -> Conf
         if world.index(want) not in world._nbr[world.index(here)]:
             raise ValueError(f"{agent.label} proposes non-adjacent cell {want!r} from {here!r}")
 
-    frozen_cells = {c for a, c in pos.items() if a.team is not move.team}
-    occupant = {c: a for a, c in pos.items() if a.team is move.team}
-
-    # Same-target conflicts: lowest index keeps its claim, the rest wait.
-    desired: dict[AgentId, Node] = {}
-    claimed: set[Node] = set()
-    for agent in team_agents:
-        want = move.desired[agent]
-        if want == pos[agent] or want in claimed:
-            continue
-        claimed.add(want)
-        desired[agent] = want
-
-    granted = set(desired)
-    changed = True
-    while changed:
-        changed = False
-        for agent in list(granted):
-            want = desired[agent]
-            if want in frozen_cells:
-                granted.discard(agent)
-                changed = True
-                continue
-            blocker = occupant.get(want)
-            if blocker is None or blocker == agent:
-                continue
-            if blocker not in granted:
-                granted.discard(agent)
-                changed = True
-            elif desired[blocker] == pos[agent]:
-                # Pairwise swap across a shared edge: forbidden.
-                granted.discard(agent)
-                changed = True
-
+    agents = sorted(pos)
+    lo = len(agents) - len(team_agents) if move.team else 0
+    cells = [world.index(pos[a]) for a in agents]
+    occupant = [-1] * len(world._nbr)
+    for i, c in enumerate(cells):
+        occupant[c] = i
+    want = [world.index(move.desired[a]) for a in team_agents]
     new_positions = dict(pos)
-    for agent in granted:
-        new_positions[agent] = desired[agent]
+    for i in resolve_moves(cells, occupant, lo, lo + len(team_agents), want):
+        new_positions[agents[i]] = move.desired[agents[i]]
     return Configuration(new_positions)
+
+
+def resolve_moves(pos: list[int], occupant: list[int], lo: int, hi: int, want: list[int]) -> dict[int, int]:
+    """Resolve the simultaneous move of agents lo..hi-1 (one team) on cell indices.
+
+    pos holds every agent's cell index, occupant maps each cell index to
+    the agent on it (or -1), and want[a - lo] is agent a's proposal: its
+    own cell or an adjacent passable one. Returns the granted moves as
+    {agent: cell} and applies them to pos and occupant.
+
+    The other team is frozen for the phase. When teammates want the same
+    cell, the lowest index holds the claim and the others stay. A claim is
+    granted unless its cell holds an agent with no granted claim or one
+    that claims the claimer's cell (a pairwise swap); a refusal refuses
+    the claim on the refused agent's cell in turn, down the chain. So
+    chains into vacated cells and rotations of length >= 3 execute, and
+    the granted set is the largest legal one.
+    """
+    claimant: dict[int, int] = {}
+    for a, c in zip(range(lo, hi), want):
+        if c != pos[a] and c not in claimant:
+            claimant[c] = a
+    granted = {a: c for c, a in claimant.items()}
+    refused = []
+    for a, c in list(granted.items()):
+        b = occupant[c]
+        # granted.get(b, here) == here: b has no granted claim, or claims a's cell.
+        if b >= 0 and granted.get(b, pos[a]) == pos[a]:
+            del granted[a]
+            refused.append(a)
+    # Iterating the list while appending to it walks every chain.
+    for a in refused:
+        behind = claimant.get(pos[a])
+        if behind in granted:
+            del granted[behind]
+            refused.append(behind)
+    for a in granted:
+        occupant[pos[a]] = -1
+    for a, c in granted.items():
+        occupant[c] = a
+        pos[a] = c
+    return granted
 
 
 def audit_team_step(

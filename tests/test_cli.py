@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from areaguard import engine
 from areaguard.bench import config_from_json
 from areaguard.cli import main
 from areaguard.model import instance_from_json, load_instance, validate_instance
@@ -77,6 +78,19 @@ def test_run_outputs_metrics(tmp_path, capsys):
         "captured", "uncaptured", "sum_target_distance", "time_at_targets"
     }
     assert doc["metrics"]["captured"] + doc["metrics"]["uncaptured"] == 3
+
+
+def test_run_with_an_impassable_allocation_exits_2(tmp_path, capsys, monkeypatch):
+    # No strategy picks such a cell; the check behind this message guards
+    # explicit allocations and must reach run's error path, not a traceback.
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, SPEC_DOC)
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--spec", str(spec_path), "--seed", "1", "-o", str(inst_path)])
+    monkeypatch.setattr(engine, "allocate_for", lambda instance, strategy, seed: {0: (99, 0)})
+    assert main(["run", "--instance", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: allocation sends d0 to (99, 0), which is not passable\n"
 
 
 def test_run_trace_and_determinism(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,14 @@ def test_rejects_invalid_instance():
     inst = make_instance(["..."], [(0, 0)], [(2, 0)], [], limit=0)
     with pytest.raises(ValueError):
         run_simulation(inst, "random", seed=0)
+
+
+def test_explicit_allocation_cells_are_checked_up_front():
+    # A blocked or off-map cell fails before the first round, naming the cell.
+    inst = make_instance(["...", "..@", "..."], [(0, 0)], [(2, 2)], [(0, 2)], limit=5)
+    for cell in ((2, 1), (9, 9)):
+        with pytest.raises(ValueError, match=re.escape(f"d0 to {cell!r}, which is not passable")):
+            run_simulation(inst, allocation={0: cell})
 
 
 def build_random_instance(rng, k):

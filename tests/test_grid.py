@@ -433,9 +433,15 @@ def test_find_path_on_512x512_maps_matches_the_flood_within_the_bit_budget():
     cells = list(walls.passable_cells())
     queries.append((walls, src, dst, set(rng.sample(cells, 20000))))
     for grid, src, dst, forbidden in queries:
-        want = grid_module._flood(grid, src, dst, forbidden)
-        assert find_path(grid, src, dst, forbidden) == want
-        flood_peak = _peak_bytes(lambda: grid_module._flood(grid, src, dst, forbidden))
+
+        def flood():
+            # The list search alone, its answer in find_path's form.
+            blocked = {grid.index(c) for c in forbidden}
+            path, region = grid_module._flood(grid, grid.index(src), grid.index(dst), blocked)
+            return (None if path is None else [grid.cell(i) for i in path]), region
+
+        assert find_path(grid, src, dst, forbidden) == flood()
+        flood_peak = _peak_bytes(flood)
         search_peak = _peak_bytes(lambda: find_path(grid, src, dst, forbidden))
         assert search_peak <= flood_peak + (1 << 19) // 8, (src, dst, search_peak, flood_peak)
 

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from areaguard.grid import GridMap
 from areaguard.model import (
     AdjacencyGraph,
+    AgentId,
     Configuration,
     Instance,
     Team,
@@ -163,6 +165,63 @@ def test_resolution_is_deterministic_and_rule_clean():
         for agent, cell in out.positions.items():
             if cell != cfg.positions[agent]:
                 assert cell == desired[agent]
+
+
+def _random_world(rng: random.Random):
+    """A small grid with walls, or now and then a random graph of 5-8 nodes."""
+    if rng.random() < 0.3:
+        names = [f"n{i}" for i in range(rng.randrange(5, 9))]
+        edges = [(u, v) for u, v in combinations(names, 2) if rng.random() < 0.35]
+        return AdjacencyGraph.from_edges(names, edges)
+    return random_grid(rng, rng.randrange(2, 6), rng.randrange(1, 5), wall_rate=0.15)
+
+
+def test_resolution_grants_the_largest_legal_set_of_claims():
+    # Brute force, without the kernel's code: among the movers that win
+    # their cell's claim (no lower-index teammate wants it), every subset
+    # whose moves audit_team_step accepts is legal. Legal sets are closed
+    # under union, so the largest is unique, and it is what must move.
+    rng = random.Random(1515)
+    checked = partial = chained = 0
+    while checked < 1000:
+        world = _random_world(rng)
+        nodes = list(world.nodes())
+        if len(nodes) < 2:
+            continue
+        team = rng.choice(list(Team))
+        movers = rng.randrange(1, min(6, len(nodes)) + 1)
+        frozen = rng.randrange(0, min(3, len(nodes) - movers) + 1)
+        spots = rng.sample(nodes, movers + frozen)
+        agents = [AgentId(team, i) for i in range(movers)]
+        agents += [AgentId(Team(1 - team), i) for i in range(frozen)]
+        before = dict(zip(agents, spots))
+        desired = {}
+        for agent in agents[:movers]:
+            options = world.neighbors(before[agent])
+            stay = not options or rng.random() < 0.2
+            desired[agent] = before[agent] if stay else rng.choice(options)
+        winners, claimed = {}, set()
+        for agent, want in desired.items():
+            if want != before[agent] and want not in claimed:
+                claimed.add(want)
+                winners[agent] = want
+        legal = []
+        for size in range(len(winners) + 1):
+            for subset in combinations(winners, size):
+                after = dict(before)
+                after.update((agent, winners[agent]) for agent in subset)
+                if not audit_team_step(world, Configuration(before), Configuration(after), team):
+                    legal.append(set(subset))
+        largest = max(legal, key=len)
+        assert all(subset <= largest for subset in legal)
+        out = apply_team_move(world, Configuration(before), TeamMove(team, desired))
+        moved = {agent for agent in agents if out.positions[agent] != before[agent]}
+        assert moved == largest, (world, before, desired)
+        checked += 1
+        partial += 0 < len(moved) < len(winners)
+        # A granted move into a cell a teammate left in the same phase.
+        chained += any(before[a] == out.positions[b] for a in moved for b in moved)
+    assert partial > 150 and chained > 90
 
 
 def test_validate_instance_diagnostics():
