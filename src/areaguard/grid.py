@@ -255,10 +255,25 @@ def find_path(
         raise ValueError(f"path source {src} is not passable")
     if not grid.is_passable(dst):
         raise ValueError(f"path target {dst} is not passable")
-    w, h = grid.width, grid.height
-    blocked = {x + y * w for x, y in forbidden if 0 <= x < w and 0 <= y < h}
+    cells = forbidden if isinstance(forbidden, (set, frozenset)) else set(forbidden)
+    blocked = CellIndices(cells, grid) if cells else cells
     path, region = route(grid, grid.index(src), grid.index(dst), blocked, memo)
     return (None if path is None else [grid.cell(i) for i in path]), region
+
+
+class CellIndices:
+    """A cell set seen as the indices of its cells on grid, without a copy; true even when empty."""
+
+    __slots__ = ("cells", "grid")
+
+    def __init__(self, cells: set[Cell] | frozenset[Cell], grid: GridMap) -> None:
+        self.cells, self.grid = cells, grid
+
+    def __contains__(self, i: int) -> bool:
+        return self.grid.cell(i) in self.cells
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.grid.index, filter(self.grid.in_bounds, self.cells))
 
 
 def route(
@@ -266,8 +281,9 @@ def route(
 ) -> tuple[list[int] | None, list[int] | None]:
     """The forbidden-cell path search on cell indices, behind find_path.
 
-    src and dst are passable cell indices and blocked is the set of the
-    forbidden ones. A path comes back as cell indices, src first.
+    src and dst are passable cell indices and blocked holds the forbidden
+    ones: a set, or a view that answers `in` and iterates, as find_path
+    passes. A path comes back as cell indices, src first.
 
     Returns (path, None) when a route exists and (None, None) when dst
     itself is forbidden, when memo answers, or when the bitmask layers
@@ -365,6 +381,8 @@ def route(
 
 def _free_mask(grid: GridMap, blocked) -> int:
     """Bitmask of grid's passable cells whose indices blocked does not hold."""
+    if not blocked:
+        return grid._bits
     marks = bytearray((len(grid._nbr) + 7) >> 3)
     for i in blocked:
         marks[i >> 3] |= 1 << (i & 7)

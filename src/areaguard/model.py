@@ -149,14 +149,6 @@ class Instance:
             raise ValueError("only attackers have targets")
         return self.attacker_targets[agent.index]
 
-    def initial_configuration(self) -> "Configuration":
-        positions: dict[AgentId, Node] = {}
-        for i, c in enumerate(self.attacker_starts):
-            positions[attacker(i)] = c
-        for i, c in enumerate(self.defender_starts):
-            positions[defender(i)] = c
-        return Configuration(positions)
-
 
 @dataclass(eq=True)
 class Configuration:

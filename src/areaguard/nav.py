@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from areaguard.grid import Cell, GridMap, SnapshotMemo, route
+from areaguard.grid import Cell, CellIndices, GridMap, SnapshotMemo, route
 # Unused here; perfbench/tracing.py rebinds these names (ROADMAP item 1).
 from areaguard.grid import find_path, shortest_path  # noqa: F401
 from areaguard.model import AgentId, Configuration
@@ -107,8 +107,7 @@ def next_move(
     index, cell = grid.index, grid.cell
     plans, stalls = [[index(c) for c in reversed(nav.plan)]], [nav.stalls]
     goal = -1 if nav.goal is None else index(nav.goal)
-    cells = config.positions.values() if occupied is None else occupied
-    blocked = {index(c) for c in cells if grid.is_passable(c)}
+    blocked = CellIndices(set(config.positions.values()) if occupied is None else occupied, grid)
     (want,) = plan_moves(grid, [index(config.positions[nav.agent])], 0, 1, [goal], plans, stalls, blocked, memo)
     return cell(want), NavState(nav.agent, nav.goal, tuple(map(cell, reversed(plans[0]))), stalls[0])
 

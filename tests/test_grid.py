@@ -433,10 +433,12 @@ def test_find_path_on_512x512_maps_matches_the_flood_within_the_bit_budget():
     cells = list(walls.passable_cells())
     queries.append((walls, src, dst, set(rng.sample(cells, 20000))))
     for grid, src, dst, forbidden in queries:
+        # Built outside the measured search, so that the flood's peak is
+        # the list search's alone, as the caller's cell set is for find_path.
+        blocked = {grid.index(c) for c in forbidden}
 
         def flood():
-            # The list search alone, its answer in find_path's form.
-            blocked = {grid.index(c) for c in forbidden}
+            # The list search, its answer in find_path's form.
             path, region = grid_module._flood(grid, grid.index(src), grid.index(dst), blocked)
             return (None if path is None else [grid.cell(i) for i in path]), region
 
